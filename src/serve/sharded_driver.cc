@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 #include <queue>
+#include <span>
 #include <utility>
 
 #include "core/policy_factory.h"
@@ -402,7 +403,7 @@ ShardedDriver::placeEvac(Shard &shard)
 }
 
 void
-ShardedDriver::evacuateRefugees(Seconds now)
+ShardedDriver::evacuateRefugees()
 {
     // The post-evacuation capacity estimates double as the
     // admission router's input, so they are (re)seeded every
@@ -689,7 +690,7 @@ ShardedDriver::run(JobFeed &feed,
         // in parallel batches, retry the failures a bounded number
         // of rounds, shed the rest.
         if (degraded_)
-            evacuateRefugees(now);
+            evacuateRefugees();
 
         // 2. Ingest the feed's arrivals due before the next boundary
         // into the bounded ring; overflow is shed, not queued.
@@ -1087,39 +1088,21 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     ingr.putU64(overheated_);
 
     // SHRD: the full shard map — per shard, the cluster, the policy
-    // and the QUEU-style job bookkeeping (slot table verbatim,
-    // freelist, residency lists, departures in pop order). Per-slot
-    // departure times are NOT stored: loadCheckpoint rebuilds them
-    // from the departure entries, keeping this layout identical to
-    // the pre-fault driver's.
-    Serializer &shrd = writer.section("SHRD");
-    shrd.putSize(shards_.size());
-    for (const Shard &shard : shards_) {
-        shard.cluster.saveState(shrd);
-        shard.scheduler->saveState(shrd);
-        shrd.putSize(shard.slots.size());
-        for (const SimActiveJob &job : shard.slots) {
-            shrd.putSize(job.serverId);
-            shrd.putU8(static_cast<std::uint8_t>(job.type));
-            shrd.putU32(job.pos);
-        }
-        shrd.putSize(shard.freeSlots.size());
-        for (std::uint32_t slot : shard.freeSlots)
-            shrd.putU32(slot);
-        for (const auto &per_server : shard.jobsAt) {
-            for (const auto &ids : per_server) {
-                shrd.putSize(ids.size());
-                for (std::uint32_t slot : ids)
-                    shrd.putU32(slot);
-            }
-        }
-        shrd.putSize(shard.departures.size());
-        shard.departures.visitPending(
-            [&shrd](Seconds time, std::uint32_t slot) {
-                shrd.putDouble(time);
-                shrd.putU32(slot);
-            });
-    }
+    // and the QUEU-style job bookkeeping (see saveShard). Each shard
+    // encodes and checksums its own part on the pool; the container
+    // concatenates the parts in shard order, so the section is
+    // byte-identical at any thread count.
+    const std::span<SnapshotPart> shrd =
+        writer.sectionParts("SHRD", shards_.size() + 1);
+    shrd.front().out().putSize(shards_.size());
+    parallelFor(globalPool(), 0, shards_.size(), 1,
+                [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t s = begin; s < end; ++s) {
+                        SnapshotPart &part = shrd[s + 1];
+                        saveShard(shards_[s], part.out());
+                        part.seal();
+                    }
+                });
 
     // DGRD: degraded-mode configuration echo + dynamic state. Only
     // written when the machinery is configured, so a clean run's
@@ -1166,6 +1149,38 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
                 shard.faults->saveState(dgrd, shard.cluster);
         }
     }
+}
+
+void
+ShardedDriver::saveShard(const Shard &shard, Serializer &out)
+{
+    // Per-slot departure times are NOT stored: loadCheckpoint
+    // rebuilds them from the departure entries, keeping this layout
+    // identical to the pre-fault driver's.
+    shard.cluster.saveState(out);
+    shard.scheduler->saveState(out);
+    out.putSize(shard.slots.size());
+    for (const SimActiveJob &job : shard.slots) {
+        out.putSize(job.serverId);
+        out.putU8(static_cast<std::uint8_t>(job.type));
+        out.putU32(job.pos);
+    }
+    out.putSize(shard.freeSlots.size());
+    for (std::uint32_t slot : shard.freeSlots)
+        out.putU32(slot);
+    for (const auto &per_server : shard.jobsAt) {
+        for (const auto &ids : per_server) {
+            out.putSize(ids.size());
+            for (std::uint32_t slot : ids)
+                out.putU32(slot);
+        }
+    }
+    out.putSize(shard.departures.size());
+    shard.departures.visitPending(
+        [&out](Seconds time, std::uint32_t slot) {
+            out.putDouble(time);
+            out.putU32(slot);
+        });
 }
 
 std::size_t

@@ -273,6 +273,10 @@ class ShardedDriver
                     const std::function<bool()> &shouldStop = {});
 
   private:
+    /** Test-tree access to the shards (the serial reference SHRD
+     *  encoder the checkpoint byte-identity test compares against). */
+    friend struct ShardedDriverTestPeer;
+
     /** One pod's worth of servers with its own policy instance and
      *  job bookkeeping — the unit of parallelism. */
     struct Shard
@@ -345,7 +349,7 @@ class ShardedDriver
     /** Cross-shard refugee re-routing: waterfill over surviving
      *  capacity, parallel batched placement, bounded retries, shed
      *  on exhaustion. Serial orchestration (shard order). */
-    void evacuateRefugees(Seconds now);
+    void evacuateRefugees();
     /** Place one round's refugees routed to this shard, scheduling
      *  each at its preserved departure time. */
     void placeEvac(Shard &shard);
@@ -359,8 +363,13 @@ class ShardedDriver
     void bindJob(Shard &shard, std::size_t server, WorkloadType type,
                  Seconds due);
 
+    /** Write SCON/FEED/INGR/SHRD[/DGRD]; SHRD's per-shard parts are
+     *  encoded in parallel (saveShard). */
     void buildCheckpoint(SnapshotWriter &writer, const JobFeed &feed,
                          std::size_t completed) const;
+    /** One shard's SHRD block: cluster, policy, slot table, free
+     *  list, residency lists, departures in pop order. */
+    static void saveShard(const Shard &shard, Serializer &out);
     std::size_t loadCheckpoint(JobFeed &feed,
                                const std::string &path);
 

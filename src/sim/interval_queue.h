@@ -126,22 +126,33 @@ class IntervalQueue
      * on a fresh queue reproduces this queue's pop order exactly —
      * (time, seq) sorting preserves the relative tie-break order even
      * though the fresh queue assigns new sequence numbers.
+     *
+     * Buckets partition time strictly (a late insert clamped into the
+     * front bucket is earlier than every later bucket), so sorting
+     * each bucket on its own and visiting buckets in index order is
+     * the global (time, seq) order. The front bucket's undrained tail
+     * is visited in place when draining has already sorted it.
      */
     template <typename Fn>
     void
     visitPending(Fn &&fn) const
     {
-        std::vector<Entry> pending;
-        pending.reserve(size_);
+        std::vector<Entry> sorted;
         for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
             const auto &bucket = buckets_[bi];
-            for (std::size_t i = (bi == 0 ? cursor_ : 0);
-                 i < bucket.size(); ++i)
-                pending.push_back(bucket[i]);
+            const std::size_t first = bi == 0 ? cursor_ : 0;
+            if (bi == 0 && frontSorted_) {
+                for (std::size_t i = first; i < bucket.size(); ++i)
+                    fn(bucket[i].time, bucket[i].payload);
+                continue;
+            }
+            sorted.assign(
+                bucket.begin() + static_cast<std::ptrdiff_t>(first),
+                bucket.end());
+            std::sort(sorted.begin(), sorted.end(), orderBefore);
+            for (const Entry &entry : sorted)
+                fn(entry.time, entry.payload);
         }
-        std::sort(pending.begin(), pending.end(), orderBefore);
-        for (const Entry &entry : pending)
-            fn(entry.time, entry.payload);
     }
 
     /**

@@ -2,8 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <utility>
-#include <vector>
 
 #include "util/atomic_file.h"
 #include "util/logging.h"
@@ -37,43 +37,26 @@ RecoveryManager::RecoveryManager(std::string path)
 bool
 RecoveryManager::save(const SnapshotWriter &writer)
 {
-    const auto fail = [this](std::string why) {
-        ++failures_;
-        lastError_ = std::move(why);
-        return false;
-    };
-
     // Stage the new image first: if the disk is full the stage fails
-    // and neither retained generation has been touched.
-    const std::vector<std::uint8_t> image = writer.encode();
-    const std::string temp = atomicTempPath(path_);
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return fail("checkpoint: cannot open " + temp);
-        out.write(reinterpret_cast<const char *>(image.data()),
-                  static_cast<std::streamsize>(image.size()));
-        out.flush();
-        if (!out) {
-            std::remove(temp.c_str());
-            return fail("checkpoint: write failed for " + temp);
-        }
-    }
-
-    // Rotate the current last-good snapshot to the .prev generation.
+    // and neither retained generation has been touched. Only then
+    // rotate the current last-good snapshot to the .prev generation.
     // A rotation failure is not fatal to the save — a fresh snapshot
     // beats a preserved old one — but is worth a warning because the
     // fallback generation is now stale.
-    const std::string prev = previousSnapshotPath(path_);
-    if (fileExists(path_) &&
-        std::rename(path_.c_str(), prev.c_str()) != 0)
-        warn("checkpoint: cannot rotate " + path_ + " to " + prev +
-             "; previous generation is stale");
-
-    if (std::rename(temp.c_str(), path_.c_str()) != 0) {
-        std::remove(temp.c_str());
-        return fail("checkpoint: cannot rename " + temp + " to " +
-                    path_);
+    const auto rotate = [this] {
+        const std::string prev = previousSnapshotPath(path_);
+        if (fileExists(path_) &&
+            std::rename(path_.c_str(), prev.c_str()) != 0)
+            warn("checkpoint: cannot rotate " + path_ + " to " + prev +
+                 "; previous generation is stale");
+    };
+    std::string error;
+    if (!tryAtomicWriteStream(
+            path_, [&](std::ostream &out) { writer.writeTo(out); },
+            &error, rotate)) {
+        ++failures_;
+        lastError_ = std::move(error);
+        return false;
     }
     lastError_.clear();
     return true;

@@ -2,48 +2,11 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 
 #include "util/logging.h"
 
 namespace vmt {
-
-void
-Serializer::putU8(std::uint8_t value)
-{
-    buf_.push_back(value);
-}
-
-void
-Serializer::putBool(bool value)
-{
-    putU8(value ? 1 : 0);
-}
-
-void
-Serializer::putU32(std::uint32_t value)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        buf_.push_back(static_cast<std::uint8_t>(value >> shift));
-}
-
-void
-Serializer::putU64(std::uint64_t value)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        buf_.push_back(static_cast<std::uint8_t>(value >> shift));
-}
-
-void
-Serializer::putSize(std::size_t value)
-{
-    putU64(static_cast<std::uint64_t>(value));
-}
-
-void
-Serializer::putDouble(double value)
-{
-    putU64(std::bit_cast<std::uint64_t>(value));
-}
 
 void
 Serializer::putString(const std::string &value)
@@ -90,8 +53,8 @@ Deserializer::getU32()
 {
     need(4);
     std::uint32_t value = 0;
-    for (int shift = 0; shift < 32; shift += 8)
-        value |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
+    std::memcpy(&value, data_ + pos_, 4);
+    pos_ += 4;
     return value;
 }
 
@@ -100,8 +63,8 @@ Deserializer::getU64()
 {
     need(8);
     std::uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 8)
-        value |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
+    std::memcpy(&value, data_ + pos_, 8);
+    pos_ += 8;
     return value;
 }
 
@@ -141,17 +104,57 @@ Deserializer::expectEnd() const
 
 namespace {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
+/** table[k][b]: the CRC register contribution of byte b followed by
+ *  k zero bytes — the eight lookup tables of slice-by-8. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables table{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t crc = i;
         for (int bit = 0; bit < 8; ++bit)
-            crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
-        table[i] = crc;
+            crc = (crc >> 1) ^ ((crc & 1) ? kCrcPoly : 0u);
+        table[0][i] = crc;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::uint32_t i = 0; i < 256; ++i)
+            table[k][i] = (table[k - 1][i] >> 8) ^
+                          table[0][table[k - 1][i] & 0xFFu];
     }
     return table;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+/** a(x) * b(x) mod P(x) over GF(2), in the reflected bit order. */
+std::uint32_t
+multModP(std::uint32_t a, std::uint32_t b)
+{
+    std::uint32_t product = 0;
+    for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if (a & m)
+            product ^= b;
+        b = (b & 1) ? (b >> 1) ^ kCrcPoly : b >> 1;
+    }
+    return product;
+}
+
+/** x^(8 * size) mod P(x): the shift that appends size zero bytes. */
+std::uint32_t
+zeroBytesModP(std::uint64_t size)
+{
+    std::uint32_t result = 1u << 31;  // x^0
+    std::uint32_t square = 1u << 23;  // x^8, one byte
+    for (; size != 0; size >>= 1) {
+        if (size & 1)
+            result = multModP(square, result);
+        square = multModP(square, square);
+    }
+    return result;
 }
 
 } // namespace
@@ -159,12 +162,29 @@ makeCrcTable()
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    static const std::array<std::uint32_t, 256> table =
-        makeCrcTable();
+    const CrcTables &t = kCrcTables;
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFFu];
+    for (; size >= 8; data += 8, size -= 8) {
+        std::uint32_t lo = 0;
+        std::uint32_t hi = 0;
+        std::memcpy(&lo, data, 4);
+        std::memcpy(&hi, data + 4, 4);
+        lo ^= crc;
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size)
+        crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
     return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t
+crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+             std::uint64_t size_b)
+{
+    return multModP(zeroBytesModP(size_b), crc_a) ^ crc_b;
 }
 
 } // namespace vmt

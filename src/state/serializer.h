@@ -4,10 +4,12 @@
  *
  * Everything is little-endian and written field by field — no struct
  * memcpy — so the on-disk layout is independent of host padding and
- * stays stable across compilers. Doubles are stored as their IEEE-754
- * bit patterns, which is what makes bitwise-identical resume possible:
- * a value round-trips to the exact same double, including -0.0,
- * subnormals and NaN payloads.
+ * stays stable across compilers. Each fixed-width field is one bulk
+ * append of its native bytes, which are the little-endian encoding on
+ * every supported host (a big-endian host fails to compile). Doubles
+ * are stored as their IEEE-754 bit patterns, which is what makes
+ * bitwise-identical resume possible: a value round-trips to the exact
+ * same double, including -0.0, subnormals and NaN payloads.
  *
  * Deserializer bounds-checks every read and throws FatalError on
  * overrun, so a truncated or corrupt payload is rejected
@@ -17,26 +19,40 @@
 #ifndef VMT_STATE_SERIALIZER_H
 #define VMT_STATE_SERIALIZER_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 namespace vmt {
 
-/** Append-only little-endian byte-stream writer. */
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot encoding appends native bytes as its "
+              "little-endian layout");
+
+/** Append-only little-endian byte-stream writer. The puts are inline:
+ *  a checkpoint makes millions of them across every module's
+ *  saveState. */
 class Serializer
 {
   public:
-    void putU8(std::uint8_t value);
+    void putU8(std::uint8_t value) { buf_.push_back(value); }
     /** Bools are one byte, 0 or 1. */
-    void putBool(bool value);
-    void putU32(std::uint32_t value);
-    void putU64(std::uint64_t value);
+    void putBool(bool value) { putU8(value ? 1 : 0); }
+    void putU32(std::uint32_t value) { append(value); }
+    void putU64(std::uint64_t value) { append(value); }
     /** size_t is always widened to 64 bits on disk. */
-    void putSize(std::size_t value);
+    void putSize(std::size_t value)
+    {
+        putU64(static_cast<std::uint64_t>(value));
+    }
     /** IEEE-754 bit pattern, little-endian (exact round-trip). */
-    void putDouble(double value);
+    void putDouble(double value)
+    {
+        putU64(std::bit_cast<std::uint64_t>(value));
+    }
     /** 64-bit length prefix followed by the raw bytes. */
     void putString(const std::string &value);
     /** Raw bytes, no length prefix. */
@@ -46,6 +62,15 @@ class Serializer
     std::size_t size() const { return buf_.size(); }
 
   private:
+    template <typename T>
+    void
+    append(T value)
+    {
+        const std::size_t at = buf_.size();
+        buf_.resize(at + sizeof(T));
+        std::memcpy(buf_.data() + at, &value, sizeof(T));
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 
@@ -89,8 +114,17 @@ class Deserializer
     std::size_t pos_ = 0;
 };
 
-/** CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected). */
+/** CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected),
+ *  slice-by-8. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
+
+/**
+ * CRC-32 of the concatenation A‖B from crc32(A), crc32(B) and the
+ * length of B, in O(log size_b) — so pieces of one payload can be
+ * checksummed independently (in parallel) and combined in order.
+ */
+std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t size_b);
 
 } // namespace vmt
 

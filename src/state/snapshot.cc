@@ -1,6 +1,10 @@
 #include "state/snapshot.h"
 
+#include <filesystem>
 #include <fstream>
+#include <ostream>
+#include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "util/atomic_file.h"
@@ -24,60 +28,116 @@ validTag(const std::string &tag)
     return true;
 }
 
+void
+writeBytes(std::ostream &out, const Serializer &bytes)
+{
+    out.write(reinterpret_cast<const char *>(bytes.bytes().data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
 } // namespace
+
+void
+SnapshotPart::seal()
+{
+    crc_ = crc32(out_.bytes().data(), out_.size());
+    sealedSize_ = out_.size();
+}
+
+std::uint32_t
+SnapshotPart::crc() const
+{
+    if (sealedSize_ == out_.size())
+        return crc_;
+    return crc32(out_.bytes().data(), out_.size());
+}
 
 Serializer &
 SnapshotWriter::section(const std::string &tag)
 {
+    return sectionParts(tag, 1).front().out();
+}
+
+std::span<SnapshotPart>
+SnapshotWriter::sectionParts(const std::string &tag, std::size_t count)
+{
     if (!validTag(tag))
         fatal("SnapshotWriter: section tag must be 4 printable "
               "ASCII characters, got '" + tag + "'");
-    for (const auto &[existing, payload] : sections_) {
-        if (existing == tag)
+    for (const Section &existing : sections_) {
+        if (existing.tag == tag)
             fatal("SnapshotWriter: duplicate section '" + tag + "'");
     }
-    sections_.emplace_back(tag, Serializer{});
-    return sections_.back().second;
+    sections_.push_back(Section{tag, std::vector<SnapshotPart>(count)});
+    return sections_.back().parts;
+}
+
+void
+SnapshotWriter::writeTo(std::ostream &out) const
+{
+    Serializer header;
+    header.putBytes(kMagic, sizeof(kMagic));
+    header.putU32(kSnapshotFormatVersion);
+    header.putU32(static_cast<std::uint32_t>(sections_.size()));
+    writeBytes(out, header);
+    for (const Section &section : sections_) {
+        std::uint64_t length = 0;
+        std::uint32_t crc = 0;
+        for (const SnapshotPart &part : section.parts) {
+            crc = crc32Combine(crc, part.crc(), part.out().size());
+            length += part.out().size();
+        }
+        Serializer frame;
+        frame.putBytes(section.tag.data(), 4);
+        frame.putU64(length);
+        frame.putU32(crc);
+        writeBytes(out, frame);
+        for (const SnapshotPart &part : section.parts)
+            writeBytes(out, part.out());
+    }
 }
 
 std::vector<std::uint8_t>
 SnapshotWriter::encode() const
 {
-    Serializer out;
-    out.putBytes(kMagic, sizeof(kMagic));
-    out.putU32(kSnapshotFormatVersion);
-    out.putU32(static_cast<std::uint32_t>(sections_.size()));
-    for (const auto &[tag, payload] : sections_) {
-        out.putBytes(tag.data(), 4);
-        out.putU64(payload.size());
-        out.putU32(crc32(payload.bytes().data(), payload.size()));
-        out.putBytes(payload.bytes().data(), payload.size());
-    }
-    return out.bytes();
+    std::ostringstream out(std::ios::binary);
+    writeTo(out);
+    const std::string image = std::move(out).str();
+    return {image.begin(), image.end()};
 }
 
 void
 SnapshotWriter::write(const std::string &path) const
 {
-    const std::vector<std::uint8_t> image = encode();
-    atomicWriteFile(path, image.data(), image.size());
+    std::string error;
+    if (!tryWrite(path, &error))
+        fatal(error);
 }
 
 bool
 SnapshotWriter::tryWrite(const std::string &path,
                          std::string *error) const
 {
-    const std::vector<std::uint8_t> image = encode();
-    return tryAtomicWriteFile(path, image.data(), image.size(),
-                              error);
+    return tryAtomicWriteStream(
+        path, [this](std::ostream &out) { writeTo(out); }, error);
 }
 
 SnapshotReader::SnapshotReader(const std::string &path)
 {
+    // A directory opens as an ifstream on Linux but reports tellg()
+    // as -1; only a regular file can hold a snapshot.
+    std::error_code status_error;
+    if (!std::filesystem::is_regular_file(path, status_error))
+        fatal("snapshot: " + path +
+              (std::filesystem::exists(path, status_error)
+                   ? " is not a regular file"
+                   : " does not exist"));
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         fatal("snapshot: cannot open " + path);
     const std::streamsize size = in.tellg();
+    if (size < 0)
+        fatal("snapshot: cannot size " + path);
     in.seekg(0);
     image_.resize(static_cast<std::size_t>(size));
     if (size > 0)

@@ -14,18 +14,23 @@
  *     crc     u32      CRC-32 of the payload
  *     payload length bytes
  *
- * Everything is little-endian. Files are written atomically
- * (temp-file + rename), so an interrupted save never clobbers the
- * previous snapshot. Readers validate magic, version, section framing
- * and every CRC up front and throw FatalError on any mismatch —
- * truncated or bit-flipped snapshots are rejected, never silently
- * half-loaded.
+ * Everything is little-endian. A section payload may be filled as
+ * several parts (e.g. one per shard, in parallel); the container
+ * stores their in-order concatenation, so the bytes do not depend on
+ * how the payload was split. Files are streamed straight into a
+ * sibling temp file and renamed over the destination, so an
+ * interrupted save never clobbers the previous snapshot. Readers
+ * validate magic, version, section framing and every CRC up front
+ * and throw FatalError on any mismatch — truncated or bit-flipped
+ * snapshots are rejected, never silently half-loaded.
  */
 
 #ifndef VMT_STATE_SNAPSHOT_H
 #define VMT_STATE_SNAPSHOT_H
 
 #include <cstdint>
+#include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +50,33 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 /** Oldest format version readers still accept. */
 inline constexpr std::uint32_t kSnapshotMinReadVersion = 1;
 
+/**
+ * One independently filled piece of a section payload (see
+ * SnapshotWriter::sectionParts). seal() checksums the piece where it
+ * was filled — inside a parallel fan-out, say — so the write path
+ * only combines CRCs instead of re-reading the payload.
+ */
+class SnapshotPart
+{
+  public:
+    Serializer &out() { return out_; }
+    const Serializer &out() const { return out_; }
+
+    /** Record the CRC-32 of the bytes appended so far. */
+    void seal();
+
+    /** CRC-32 of the payload: seal()'s value while nothing has been
+     *  appended since (the serializer is append-only), else computed
+     *  now. */
+    std::uint32_t crc() const;
+
+  private:
+    Serializer out_;
+    std::uint32_t crc_ = 0;
+    /** Payload size when seal() ran; SIZE_MAX when never sealed. */
+    std::size_t sealedSize_ = SIZE_MAX;
+};
+
 /** Builds a snapshot file section by section. */
 class SnapshotWriter
 {
@@ -55,11 +87,24 @@ class SnapshotWriter
      */
     Serializer &section(const std::string &tag);
 
-    /** The complete container image (for tests and in-memory use). */
+    /**
+     * Start a new section whose payload is the in-order
+     * concatenation of @p count parts. The parts may be filled (and
+     * sealed) concurrently, one thread per part; they stay valid
+     * while the writer lives.
+     */
+    std::span<SnapshotPart> sectionParts(const std::string &tag,
+                                         std::size_t count);
+
+    /** Stream the container (header, then each section's frame and
+     *  payload parts) into @p out. */
+    void writeTo(std::ostream &out) const;
+
+    /** The complete container image (tests and in-memory use). */
     std::vector<std::uint8_t> encode() const;
 
-    /** Encode and write atomically (temp-file + rename).
-     *  @throws FatalError when the file cannot be written. */
+    /** Stream the container into the file atomically (temp-file +
+     *  rename). @throws FatalError when the file cannot be written. */
     void write(const std::string &path) const;
 
     /**
@@ -71,7 +116,15 @@ class SnapshotWriter
     bool tryWrite(const std::string &path, std::string *error) const;
 
   private:
-    std::vector<std::pair<std::string, Serializer>> sections_;
+    struct Section
+    {
+        std::string tag;
+        /** Heap-stable: a section's parts never move once created,
+         *  so references handed out survive later sections. */
+        std::vector<SnapshotPart> parts;
+    };
+
+    std::vector<Section> sections_;
 };
 
 /**
@@ -82,8 +135,9 @@ class SnapshotWriter
 class SnapshotReader
 {
   public:
-    /** Load from disk. @throws FatalError when the file is missing,
-     *  unreadable or fails validation. */
+    /** Load from disk. @throws FatalError when the path is missing,
+     *  not a regular file (e.g. a directory), unreadable or fails
+     *  validation. */
     explicit SnapshotReader(const std::string &path);
 
     /** Parse an in-memory image (tests). */

@@ -11,6 +11,8 @@
 #define VMT_UTIL_ATOMIC_FILE_H
 
 #include <cstddef>
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace vmt {
@@ -27,21 +29,25 @@ void atomicCommit(const std::string &temp_path,
                   const std::string &path);
 
 /**
+ * Stage-then-commit, the one path behind every atomic writer: stream
+ * the contents into the sibling temp file through @p fill, flush, run
+ * @p before_commit (when given), then rename over `path`. Returns
+ * false on failure with the reason in @p error (when non-null); the
+ * temp file is removed and `path` left untouched.
+ */
+bool tryAtomicWriteStream(
+    const std::string &path,
+    const std::function<void(std::ostream &)> &fill,
+    std::string *error,
+    const std::function<void()> &before_commit = {});
+
+/**
  * Write a whole buffer to `path` atomically (stage + commit).
  * @throws FatalError when the directory is unwritable or a write
  *         fails; `path` is left untouched on any error.
  */
 void atomicWriteFile(const std::string &path, const void *data,
                      std::size_t size);
-
-/**
- * Non-throwing atomicWriteFile for callers that degrade instead of
- * dying (the serving-mode checkpoint path: a full disk must not kill
- * the service). Returns false on failure with the reason in @p error
- * (when non-null); `path` is left untouched on any error.
- */
-bool tryAtomicWriteFile(const std::string &path, const void *data,
-                        std::size_t size, std::string *error);
 
 } // namespace vmt
 

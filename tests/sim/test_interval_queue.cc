@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/interval_queue.h"
@@ -340,6 +343,93 @@ TEST(IntervalQueue, VisitRestoreRoundtripAtLongHorizon)
         ASSERT_EQ(restored.pop(), original.pop());
     }
     EXPECT_TRUE(restored.empty());
+}
+
+TEST(IntervalQueue, VisitPendingMatchesGlobalSortReference)
+{
+    // Reference model: every pending event as (time, seq) in one
+    // list. A pop removes its global (time, seq) minimum; a visit is
+    // the whole list sorted at once — the global sort the per-bucket
+    // visit replaced. Drains run at interval boundaries like the
+    // drivers', and visits land mid-drain (sorted front bucket with a
+    // live cursor), between drains (unsorted buckets) and after
+    // zero-duration and late (retired-bucket) inserts.
+    struct Pending
+    {
+        Seconds time;
+        int seq;
+    };
+    const auto before = [](const Pending &a, const Pending &b) {
+        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    };
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        IntervalQueue<int> q(kDt);
+        std::vector<Pending> model;
+        int next_seq = 0;
+        const auto schedule = [&](Seconds time) {
+            q.schedule(time, next_seq);
+            model.push_back({time, next_seq});
+            ++next_seq;
+        };
+        const auto expectVisitMatches = [&] {
+            std::vector<Pending> sorted = model;
+            std::sort(sorted.begin(), sorted.end(), before);
+            std::vector<Pending> visited;
+            q.visitPending([&visited](Seconds time, int seq) {
+                visited.push_back({time, seq});
+            });
+            ASSERT_EQ(visited.size(), sorted.size());
+            for (std::size_t i = 0; i < sorted.size(); ++i) {
+                ASSERT_EQ(visited[i].time, sorted[i].time)
+                    << "seed " << seed << " entry " << i;
+                ASSERT_EQ(visited[i].seq, sorted[i].seq)
+                    << "seed " << seed << " entry " << i;
+            }
+        };
+        const auto lateTime = [&](Seconds now) {
+            return std::max(0.0, now - rng.uniform(0.0, 3.0 * kDt));
+        };
+
+        for (std::size_t interval = 0; interval < 150; ++interval) {
+            const Seconds now = static_cast<double>(interval) * kDt;
+            while (q.hasEventDue(now)) {
+                if (rng.below(6) == 0)
+                    expectVisitMatches();
+                const int seq = q.pop();
+                const auto it =
+                    std::min_element(model.begin(), model.end(), before);
+                ASSERT_EQ(seq, it->seq) << "seed " << seed;
+                model.erase(it);
+                if (rng.below(5) == 0)
+                    schedule(now); // Zero-duration job.
+                if (rng.below(9) == 0)
+                    schedule(lateTime(now));
+            }
+            expectVisitMatches();
+            const std::size_t arrivals = rng.below(12);
+            for (std::size_t k = 0; k < arrivals; ++k) {
+                switch (rng.below(4)) {
+                case 0: // Exactly on a later boundary (ties).
+                    schedule(now + static_cast<double>(
+                                       1 + rng.below(20)) * kDt);
+                    break;
+                case 1:
+                    schedule(now); // Zero duration, after the drain.
+                    break;
+                case 2:
+                    schedule(lateTime(now));
+                    break;
+                default:
+                    schedule(now + rng.uniform(0.0, 25.0 * kDt));
+                    break;
+                }
+            }
+            if (rng.below(3) == 0)
+                expectVisitMatches();
+        }
+        EXPECT_GT(next_seq, 500) << "seed " << seed;
+    }
 }
 
 } // namespace

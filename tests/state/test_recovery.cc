@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -201,6 +202,57 @@ TEST(Recovery, MissingPrimaryRecoversFromPreviousAlone)
     EXPECT_TRUE(recovered.fellBack);
     EXPECT_EQ(recovered.path, previousSnapshotPath(path));
     EXPECT_EQ(stampOf(recovered.reader), 4u);
+    removeAll(path);
+}
+
+/** Regression: a directory at the snapshot path used to abort the
+ *  reader with std::bad_alloc (tellg() is -1 on a directory, and the
+ *  image was resized to SIZE_MAX), so recovery never fell back. */
+TEST(Recovery, DirectoryAtPathIsRejectedByName)
+{
+    const std::string path = testing::TempDir() + "vmt_dir.snap";
+    removeAll(path);
+    std::filesystem::remove_all(path);
+    ASSERT_TRUE(std::filesystem::create_directory(path));
+
+    try {
+        SnapshotReader reader(path);
+        FAIL() << "a directory was accepted as a snapshot";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("not a regular file"),
+                  std::string::npos)
+            << err.what();
+    }
+
+    // Without a previous generation nothing validates: a named
+    // FatalError that lists the directory's rejection.
+    try {
+        recoverSnapshot(path);
+        FAIL() << "recovered from a directory";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("not a regular file"),
+                  std::string::npos)
+            << err.what();
+    }
+    std::filesystem::remove_all(path);
+}
+
+TEST(Recovery, DirectoryAtPathFallsBackToThePreviousGeneration)
+{
+    const std::string path = testing::TempDir() + "vmt_dirfb.snap";
+    removeAll(path);
+    std::filesystem::remove_all(path);
+    ASSERT_TRUE(std::filesystem::create_directory(path));
+    stampedSnapshot(9).write(previousSnapshotPath(path));
+
+    const RecoveredSnapshot recovered = recoverSnapshot(path);
+    EXPECT_TRUE(recovered.fellBack);
+    EXPECT_EQ(recovered.path, previousSnapshotPath(path));
+    EXPECT_NE(recovered.error.find("not a regular file"),
+              std::string::npos)
+        << recovered.error;
+    EXPECT_EQ(stampOf(recovered.reader), 9u);
+    std::filesystem::remove_all(path);
     removeAll(path);
 }
 

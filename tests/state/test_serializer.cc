@@ -3,11 +3,13 @@
  * Byte-level contract of Serializer/Deserializer: the on-disk
  * encoding is little-endian and field-exact, doubles round-trip
  * bitwise, and every malformed read path throws FatalError instead of
- * returning garbage.
+ * returning garbage. The bulk puts and the slice-by-8 CRC are checked
+ * against per-byte and bitwise reference encoders kept here.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,6 +17,7 @@
 
 #include "state/serializer.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace vmt {
 namespace {
@@ -144,6 +147,127 @@ TEST(Deserializer, TrailingBytesFailExpectEnd)
     Deserializer in(out.bytes());
     in.getU32();
     EXPECT_THROW(in.expectEnd(), FatalError);
+}
+
+/** Append @p width bytes of @p value, least significant first. */
+void
+referencePut(std::vector<std::uint8_t> &out, std::uint64_t value,
+             int width)
+{
+    for (int i = 0; i < width; ++i)
+        out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
+TEST(Serializer, BulkPutsMatchPerByteLittleEndianReference)
+{
+    Rng rng(11);
+    Serializer out;
+    std::vector<std::uint8_t> expected;
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t bits = rng.next();
+        switch (rng.below(6)) {
+        case 0:
+            out.putU8(static_cast<std::uint8_t>(bits));
+            referencePut(expected, bits, 1);
+            break;
+        case 1:
+            out.putBool((bits & 1) != 0);
+            referencePut(expected, bits & 1, 1);
+            break;
+        case 2:
+            out.putU32(static_cast<std::uint32_t>(bits));
+            referencePut(expected, bits, 4);
+            break;
+        case 3:
+            out.putU64(bits);
+            referencePut(expected, bits, 8);
+            break;
+        case 4:
+            out.putSize(static_cast<std::size_t>(bits));
+            referencePut(expected, bits, 8);
+            break;
+        default:
+            out.putDouble(std::bit_cast<double>(bits));
+            referencePut(expected, bits, 8);
+            break;
+        }
+    }
+    EXPECT_EQ(out.bytes(), expected);
+
+    // The bulk reads invert the bulk puts.
+    Deserializer in(out.bytes());
+    Serializer echo;
+    while (in.remaining() >= 8)
+        echo.putU64(in.getU64());
+    while (in.remaining() >= 4)
+        echo.putU32(in.getU32());
+    while (!in.atEnd())
+        echo.putU8(in.getU8());
+    EXPECT_EQ(echo.bytes(), expected);
+}
+
+/** Bit-at-a-time CRC-32, the reference for the table kernel. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t>
+randomBytes(Rng &rng, std::size_t size)
+{
+    std::vector<std::uint8_t> bytes(size);
+    for (std::uint8_t &byte : bytes)
+        byte = static_cast<std::uint8_t>(rng.below(256));
+    return bytes;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtUnalignedOffsets)
+{
+    Rng rng(3);
+    const std::vector<std::uint8_t> pool = randomBytes(rng, 4096 + 8);
+    // Every short length at every alignment (the 8-byte body plus
+    // each tail length)...
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t size = 0; size <= 64; ++size)
+            ASSERT_EQ(crc32(pool.data() + offset, size),
+                      referenceCrc32(pool.data() + offset, size))
+                << "offset " << offset << " size " << size;
+    }
+    // ...and random lengths up to 4 KiB at random offsets.
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::size_t offset = rng.below(8);
+        const std::size_t size = rng.below(4097);
+        ASSERT_EQ(crc32(pool.data() + offset, size),
+                  referenceCrc32(pool.data() + offset, size))
+            << "offset " << offset << " size " << size;
+    }
+}
+
+TEST(Crc32, CombineMatchesCrcOfConcatenation)
+{
+    Rng rng(5);
+    const std::vector<std::uint8_t> data = randomBytes(rng, 9000);
+    EXPECT_EQ(crc32Combine(crc32(data.data(), 100), 0, 0),
+              crc32(data.data(), 100));
+    EXPECT_EQ(crc32Combine(0, crc32(data.data(), 100), 100),
+              crc32(data.data(), 100));
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t split = rng.below(data.size() + 1);
+        const std::size_t end =
+            split + rng.below(data.size() - split + 1);
+        const std::uint32_t a = crc32(data.data(), split);
+        const std::uint32_t b = crc32(data.data() + split, end - split);
+        ASSERT_EQ(crc32Combine(a, b, end - split),
+                  crc32(data.data(), end))
+            << "split " << split << " end " << end;
+    }
 }
 
 TEST(Crc32, MatchesKnownAnswer)

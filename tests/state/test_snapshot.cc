@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -204,6 +206,58 @@ TEST(Snapshot, UnwritableDirectoryThrowsAndWritesNothing)
 TEST(Snapshot, MissingFileThrows)
 {
     EXPECT_THROW(SnapshotReader("/nonexistent-vmt.snap"), FatalError);
+}
+
+/** Fill @p out with a deterministic run of mixed-width fields. */
+void
+fillPiece(Serializer &out, std::uint32_t seed, std::size_t fields)
+{
+    for (std::size_t i = 0; i < fields; ++i) {
+        out.putU32(seed * 2654435761u + static_cast<std::uint32_t>(i));
+        out.putDouble(static_cast<double>(seed) / 7.0 +
+                      static_cast<double>(i));
+        out.putU8(static_cast<std::uint8_t>(i));
+    }
+}
+
+TEST(Snapshot, SectionPartsEncodeAsTheirConcatenation)
+{
+    // Parts (some sealed, one sealed then appended to, one empty)
+    // must frame exactly like one serializer holding the same bytes:
+    // same length, same CRC, same payload.
+    const std::size_t sizes[] = {0, 1, 9, 300, 0, 4096};
+    SnapshotWriter split;
+    split.section("HEAD").putU32(7);
+    const std::span<SnapshotPart> parts =
+        split.sectionParts("BODY", std::size(sizes));
+    split.section("TAIL").putString("after the parts");
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+        fillPiece(parts[p].out(), static_cast<std::uint32_t>(p),
+                  sizes[p]);
+        if (p % 2 == 0)
+            parts[p].seal();
+    }
+    parts[2].out().putU64(0xABCDEFu); // Stale seal: recomputed.
+
+    SnapshotWriter whole;
+    whole.section("HEAD").putU32(7);
+    Serializer &body = whole.section("BODY");
+    for (std::size_t p = 0; p < std::size(sizes); ++p) {
+        fillPiece(body, static_cast<std::uint32_t>(p), sizes[p]);
+        if (p == 2)
+            body.putU64(0xABCDEFu);
+    }
+    whole.section("TAIL").putString("after the parts");
+
+    const std::vector<std::uint8_t> image = split.encode();
+    EXPECT_EQ(image, whole.encode());
+    EXPECT_NO_THROW(SnapshotReader::fromBytes(image));
+
+    // The streamed file holds the same bytes as the in-memory image.
+    const std::string path = testing::TempDir() + "vmt_parts.snap";
+    split.write(path);
+    EXPECT_EQ(readFile(path), image);
+    std::remove(path.c_str());
 }
 
 /** Shared checks on the golden payloads (identical in v1 and v2 —
