@@ -45,12 +45,9 @@ SweepObsHandles sweepObsHandles();
 
 /**
  * Parse the shared bench flags (--threads N, default VMT_THREADS /
- * hardware concurrency; --pcm-integrator closed|substep, default
- * VMT_PCM_INTEGRATOR; --thermal-kernel soa|scalar, default
- * VMT_THERMAL_KERNEL; --thermal-parallel-threshold N, default
- * VMT_THERMAL_PARALLEL_THRESHOLD; --placement-engine batched|scalar,
- * default VMT_PLACEMENT_ENGINE) and configure the global pool,
- * thermal and scheduler knobs accordingly. Call first thing in a
+ * hardware concurrency; --thermal-parallel-threshold N, default
+ * VMT_THERMAL_PARALLEL_THRESHOLD) and configure the global pool and
+ * the thermal fan-out threshold accordingly. Call first thing in a
  * bench main(); unknown flags are left alone for the bench's own
  * parsing.
  */

@@ -1,11 +1,12 @@
 /**
  * @file
- * Isolated thermal-kernel throughput: Cluster::stepThermal on a
- * cluster with no placement churn, scalar versus SoA, across fleet
+ * Isolated thermal-kernel throughput: Cluster::stepThermal (the SoA
+ * kernel) against the per-object oracle in tests/reference/ (the
+ * `scalar` rows) on a cluster with no placement churn, across fleet
  * sizes x starting PCM regimes x dt. This is the measurement behind
- * the `kernel_micro` rows in BENCH_sim.json: the end-to-end runs
- * (perf_simulator's `kernel` study) bundle the thermal step with
- * placement and trace bookkeeping; this bench times the step itself.
+ * the `kernel_micro` rows in BENCH_sim.json: end-to-end runs bundle
+ * the thermal step with placement and trace bookkeeping; this bench
+ * times the step itself.
  *
  * Scenarios pin the starting regime mix:
  *   solid    idle fleet, wax frozen (one long solid run)
@@ -13,8 +14,9 @@
  *   liquid   loaded fleet warmed until fully melted
  *   mixed    half loaded/melted, half idle/frozen (regime-run
  *            boundary mid-fleet, exercises the partitioner)
- * State evolves during timing (melting converges toward liquid);
- * both kernels time the identical trajectory, so the ratio is fair.
+ * State evolves during timing (melting converges toward liquid); the
+ * oracle shadows the warmed cluster, so both kernels time the
+ * identical trajectory and the ratio is fair.
  *
  * Flags: --check             exit non-zero if SoA is slower than
  *                            scalar on the cluster1000 rows
@@ -34,8 +36,8 @@
 #include <vector>
 
 #include "common.h"
+#include "reference/scalar_thermal.h"
 #include "server/cluster.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/json_splice.h"
 
@@ -74,20 +76,16 @@ struct Row
     double speedup;
 };
 
-/** Build a cluster in the requested kernel and drive it into the
- *  scenario's starting regime. Deterministic: both kernels produce
- *  bitwise-identical state, so they time the same trajectory. */
+/** Build a cluster and drive it into the scenario's starting regime.
+ *  Deterministic, so every kernel row starts from the same state. */
 std::unique_ptr<Cluster>
 makeScenario(const Scenario &scenario, std::size_t servers,
-             Seconds dt, ThermalKernel kernel)
+             Seconds dt)
 {
     const SimConfig config = vmt::bench::studyConfig(servers);
-    const ThermalKernel before = globalThermalKernel();
-    setGlobalThermalKernel(kernel);
     auto cluster = std::make_unique<Cluster>(
         servers, config.spec, config.thermal,
         PowerModel(config.spec, config.powerScale));
-    setGlobalThermalKernel(before);
 
     const auto loaded = static_cast<std::size_t>(
         scenario.loadedShare * static_cast<double>(servers));
@@ -111,13 +109,16 @@ makeScenario(const Scenario &scenario, std::size_t servers,
     return cluster;
 }
 
+/** Wall seconds for `reps` calls of `step` (a thermal step of either
+ *  kernel returning its ClusterSample). */
+template <typename Step>
 double
-timeSteps(Cluster &cluster, Seconds dt, std::size_t reps)
+timeSteps(const Step &step, std::size_t reps)
 {
     double sink = 0.0;
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < reps; ++i)
-        sink += cluster.stepThermal(dt, kHotThreshold).totalPower;
+        sink += step().totalPower;
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     // Keep the accumulated samples observable so the loop cannot be
@@ -125,6 +126,18 @@ timeSteps(Cluster &cluster, Seconds dt, std::size_t reps)
     static volatile double guard = 0.0;
     guard = guard + sink;
     return elapsed.count();
+}
+
+/** Best of three timings: the minimum is the least
+ *  noise-contaminated estimate of the true cost. */
+template <typename Step>
+double
+bestOfThree(const Step &step, std::size_t reps)
+{
+    double seconds = timeSteps(step, reps);
+    for (int rep = 0; rep < 2; ++rep)
+        seconds = std::min(seconds, timeSteps(step, reps));
+    return seconds;
 }
 
 /**
@@ -211,25 +224,30 @@ main(int argc, char **argv)
                 const std::size_t reps = std::max<std::size_t>(
                     200, 2000000 / servers);
                 double scalar_rate = 0.0;
-                for (const ThermalKernel kernel :
-                     {ThermalKernel::Scalar, ThermalKernel::Soa}) {
-                    auto cluster = makeScenario(scenario, servers,
-                                                dt, kernel);
-                    // Best of three: the minimum is the least
-                    // noise-contaminated estimate of the true cost.
-                    double seconds = timeSteps(*cluster, dt, reps);
-                    for (int rep = 0; rep < 2; ++rep)
-                        seconds = std::min(
-                            seconds,
-                            timeSteps(*cluster, dt, reps));
+                for (const bool soa : {false, true}) {
+                    const char *kernel = soa ? "soa" : "scalar";
+                    auto cluster = makeScenario(scenario, servers, dt);
+                    reference::ScalarThermal oracle(*cluster);
+                    const double seconds =
+                        soa ? bestOfThree(
+                                  [&] {
+                                      return cluster->stepThermal(
+                                          dt, kHotThreshold);
+                                  },
+                                  reps)
+                            : bestOfThree(
+                                  [&] {
+                                      return oracle.step(
+                                          dt, kHotThreshold);
+                                  },
+                                  reps);
                     const double rate =
                         static_cast<double>(reps) / seconds;
-                    if (kernel == ThermalKernel::Scalar)
+                    if (!soa)
                         scalar_rate = rate;
                     const double speedup =
                         scalar_rate > 0.0 ? rate / scalar_rate : 1.0;
-                    rows.push_back({scenario.name, servers, dt,
-                                    thermalKernelName(kernel),
+                    rows.push_back({scenario.name, servers, dt, kernel,
                                     1e6 * seconds /
                                         static_cast<double>(reps),
                                     rate, speedup});
@@ -237,12 +255,10 @@ main(int argc, char **argv)
                         "[kernel_micro] %-8s servers=%-5zu dt=%-4.0f "
                         "kernel=%-6s %8.2f us/step %10.0f steps/s  "
                         "speedup %.2fx\n",
-                        scenario.name, servers, dt,
-                        thermalKernelName(kernel),
+                        scenario.name, servers, dt, kernel,
                         rows.back().usPerStep, rate, speedup);
                     std::fflush(stdout);
-                    if (check && servers == 1000 &&
-                        kernel == ThermalKernel::Soa &&
+                    if (check && servers == 1000 && soa &&
                         rate < scalar_rate)
                         gate_ok = false;
                 }

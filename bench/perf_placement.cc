@@ -1,11 +1,12 @@
 /**
  * @file
  * Isolated scheduler hot-path throughput: beginInterval + a batch of
- * placeJobs decisions on a steady-state cluster, scalar versus
- * batched placement engine, across policies x fleet sizes x arrival
- * rates. This is the measurement behind the `placement_micro` rows in
- * BENCH_sim.json: the end-to-end runs (perf_simulator's `placement`
- * study) bundle placement with thermal stepping and driver
+ * placeJobs decisions on a steady-state cluster, the production
+ * scheduler (`batched` rows: PlacementView + BlockMinGroup) versus
+ * its scalar reference in tests/reference/ (`scalar` rows), across
+ * policies x fleet sizes x arrival rates. This is the measurement
+ * behind the `placement_micro` rows in BENCH_sim.json: end-to-end
+ * runs bundle placement with thermal stepping and driver
  * bookkeeping; this bench times the scheduler alone.
  *
  * Every point drives both engines through the identical trajectory:
@@ -40,14 +41,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.h"
 #include "core/vmt_preserve.h"
 #include "core/vmt_ta.h"
 #include "core/vmt_wa.h"
+#include "reference/scalar_schedulers.h"
 #include "sched/coolest_first.h"
-#include "sched/placement_engine.h"
 #include "server/cluster.h"
 #include "util/flags.h"
 #include "util/json_splice.h"
@@ -58,33 +60,40 @@ namespace {
 
 constexpr Celsius kHotThreshold = 45.0;
 
+using MakeScheduler = std::function<std::unique_ptr<Scheduler>()>;
+
 struct Policy
 {
     const char *name;
-    std::function<std::unique_ptr<Scheduler>()> make;
+    /** Production scheduler (the `batched` rows). */
+    MakeScheduler make;
+    /** Scalar reference (the `scalar` rows). */
+    MakeScheduler makeReference;
 };
+
+/** Factory for a default-constructible or VMT-configured scheduler. */
+template <typename Sched>
+std::unique_ptr<Scheduler>
+makePolicy()
+{
+    if constexpr (std::is_default_constructible_v<Sched>)
+        return std::make_unique<Sched>();
+    else
+        return std::make_unique<Sched>(bench::studyVmt(22.0),
+                                       hotMaskFromPaper());
+}
 
 std::vector<Policy>
 policies()
 {
+    using namespace reference;
     return {
-        {"cf",
-         [] { return std::make_unique<CoolestFirstScheduler>(); }},
-        {"ta",
-         [] {
-             return std::make_unique<VmtTaScheduler>(
-                 bench::studyVmt(22.0), hotMaskFromPaper());
-         }},
-        {"wa",
-         [] {
-             return std::make_unique<VmtWaScheduler>(
-                 bench::studyVmt(22.0), hotMaskFromPaper());
-         }},
-        {"preserve",
-         [] {
-             return std::make_unique<VmtPreserveScheduler>(
-                 bench::studyVmt(22.0), hotMaskFromPaper());
-         }},
+        {"cf", makePolicy<CoolestFirstScheduler>,
+         makePolicy<ScalarCoolestFirst>},
+        {"ta", makePolicy<VmtTaScheduler>, makePolicy<ScalarVmtTa>},
+        {"wa", makePolicy<VmtWaScheduler>, makePolicy<ScalarVmtWa>},
+        {"preserve", makePolicy<VmtPreserveScheduler>,
+         makePolicy<ScalarVmtPreserve>},
     };
 }
 
@@ -105,7 +114,7 @@ struct Row
  * load profile (some servers full, some idle), an inlet gradient, and
  * enough warm-up that part of the fleet is melted and part frozen —
  * so WA/Preserve exercise every partition branch. Deterministic, and
- * independent of the placement engine (no scheduler involved).
+ * independent of the scheduler (none is involved).
  */
 std::unique_ptr<Cluster>
 makeSteadyCluster(std::size_t servers)
@@ -143,20 +152,17 @@ makeArrivals(std::size_t rate)
 }
 
 /**
- * Time `reps` intervals of (beginInterval + placeJobs) under one
- * engine, un-placing the batch between reps so every rep — and both
- * engines — sees the identical steady state. Appends each rep's
+ * Time `reps` intervals of (beginInterval + placeJobs) on a scheduler
+ * from `make`, un-placing the batch between reps so every rep — and
+ * both engines — sees the identical steady state. Appends each rep's
  * placement decisions to `decisions` for cross-engine comparison.
  */
 double
-timeIntervals(PlacementEngine engine, const Policy &policy,
-              Cluster &cluster, const std::vector<Job> &jobs,
-              std::size_t reps, std::vector<std::size_t> &decisions)
+timeIntervals(const MakeScheduler &make, Cluster &cluster,
+              const std::vector<Job> &jobs, std::size_t reps,
+              std::vector<std::size_t> &decisions)
 {
-    const PlacementEngine before = globalPlacementEngine();
-    setGlobalPlacementEngine(engine);
-    std::unique_ptr<Scheduler> sched = policy.make();
-    setGlobalPlacementEngine(before);
+    std::unique_ptr<Scheduler> sched = make();
 
     std::vector<std::size_t> out;
     std::chrono::steady_clock::duration elapsed{};
@@ -254,23 +260,22 @@ main(int argc, char **argv)
                     20, 400000 / (servers + 4 * rate));
                 double scalar_rate = 0.0;
                 std::vector<std::size_t> scalar_decisions;
-                for (const PlacementEngine engine :
-                     {PlacementEngine::Scalar,
-                      PlacementEngine::Batched}) {
+                for (const bool batched : {false, true}) {
+                    const char *engine = batched ? "batched" : "scalar";
+                    const MakeScheduler &make =
+                        batched ? policy.make : policy.makeReference;
                     std::vector<std::size_t> decisions;
                     // Best of three: the minimum is the least
                     // noise-contaminated estimate of the true cost.
-                    double seconds =
-                        timeIntervals(engine, policy, *cluster, jobs,
-                                      reps, decisions);
+                    double seconds = timeIntervals(make, *cluster, jobs,
+                                                   reps, decisions);
                     for (int rep = 0; rep < 2; ++rep) {
                         decisions.clear();
                         seconds = std::min(
-                            seconds,
-                            timeIntervals(engine, policy, *cluster,
-                                          jobs, reps, decisions));
+                            seconds, timeIntervals(make, *cluster, jobs,
+                                                   reps, decisions));
                     }
-                    if (engine == PlacementEngine::Scalar) {
+                    if (!batched) {
                         scalar_decisions = std::move(decisions);
                     } else if (decisions != scalar_decisions) {
                         std::fprintf(
@@ -282,15 +287,14 @@ main(int argc, char **argv)
                     }
                     const double interval_rate =
                         static_cast<double>(reps) / seconds;
-                    if (engine == PlacementEngine::Scalar)
+                    if (!batched)
                         scalar_rate = interval_rate;
                     const double speedup =
                         scalar_rate > 0.0
                             ? interval_rate / scalar_rate
                             : 1.0;
                     rows.push_back(
-                        {policy.name, servers, rate,
-                         placementEngineName(engine),
+                        {policy.name, servers, rate, engine,
                          1e6 * seconds / static_cast<double>(reps),
                          static_cast<double>(rate) * interval_rate,
                          speedup});
@@ -298,12 +302,10 @@ main(int argc, char **argv)
                         "[placement_micro] %-8s servers=%-5zu "
                         "rate=%-4zu engine=%-7s %9.2f us/interval  "
                         "speedup %.2fx\n",
-                        policy.name, servers, rate,
-                        placementEngineName(engine),
+                        policy.name, servers, rate, engine,
                         rows.back().usPerInterval, speedup);
                     std::fflush(stdout);
-                    if (servers == 1000 && rate == 32 &&
-                        engine == PlacementEngine::Batched) {
+                    if (servers == 1000 && rate == 32 && batched) {
                         gate_log_sum += std::log(speedup);
                         ++gate_points;
                     }

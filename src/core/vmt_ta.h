@@ -18,7 +18,6 @@
 #include "core/classification.h"
 #include "core/vmt_config.h"
 #include "sched/block_min_group.h"
-#include "sched/placement_engine.h"
 #include "sched/placement_view.h"
 #include "sched/scheduler.h"
 
@@ -54,13 +53,11 @@ class VmtTaScheduler : public Scheduler
   private:
     VmtConfig config_;
     HotMask hotMask_;
-    /** Captured at construction, like Cluster's thermal kernel. */
-    PlacementEngine engine_ = globalPlacementEngine();
     PlacementView view_;
     bool initialized_ = false;
     std::size_t hotSize_ = 0;
-    EngineBalancedGroup hotGroup_;
-    EngineBalancedGroup coldGroup_;
+    BlockMinGroup<CoolerFirst> hotGroup_;
+    BlockMinGroup<CoolerFirst> coldGroup_;
 };
 
 } // namespace vmt

@@ -12,23 +12,20 @@
  * server's *projected steady-state air temperature* (inlet reading
  * plus rise-per-watt times estimated power, refreshed once per
  * scheduling interval and bumped by every placement), so each new job
- * lands on the member that will run coolest. PackingGroup is the same
- * heap with the order reversed — hottest first — for the
- * melt-preservation policy that *packs* hot jobs instead.
+ * lands on the member that will run coolest. The orders are shared
+ * with BlockMinGroup (block_min_group.h), the per-interval group the
+ * schedulers place from; this heap serves VMT-WA's migration-target
+ * selection and the scalar reference schedulers in tests/reference/.
  *
- * The heap is hand-rolled rather than a std::priority_queue for the
- * placement hot path: members are added in bulk at the interval
- * rebuild (lazy O(n) heapify instead of n sift-ups), and place()
- * bumps the winner's key in place with a single root sift-down
- * instead of a pop + push pair. The (temp, id) comparator is a
- * strict total order (ids are unique), so the pop sequence — and
+ * The heap is hand-rolled rather than a std::priority_queue: members
+ * are added in bulk (lazy O(n) heapify instead of n sift-ups), and
+ * place() bumps the winner's key in place with a single root
+ * sift-down instead of a pop + push pair. The (temp, id) comparator
+ * is a strict total order (ids are unique), so the pop sequence — and
  * therefore every placement decision — depends only on the entry
  * multiset, never on the heap's internal layout. That is the bitwise
- * contract the scalar/batched placement engines rely on (DESIGN.md
- * §14): the scalar engine fills via add() one member at a time, the
- * batched engine via assignKeys()/addKeyed() from a PlacementView,
- * and because both produce the same entry multiset, every decision
- * is identical.
+ * contract BlockMinGroup matches (DESIGN.md §14): given the same
+ * entry multiset, every decision is identical.
  */
 
 #ifndef VMT_SCHED_BALANCED_GROUP_H
@@ -107,29 +104,6 @@ class TempOrderedGroup
             cluster.thermalParams().airRisePerWatt *
                 srv.power(cluster.powerModel());
         heap_.push_back(GroupEntry{projected, id});
-        dirty_ = true;
-    }
-
-    /** Add one server with a caller-computed key (the batched engine
-     *  reads keys from a PlacementView instead of the accessors). */
-    void addKeyed(Celsius temp, std::size_t id)
-    {
-        heap_.push_back(GroupEntry{temp, id});
-        dirty_ = true;
-    }
-
-    /**
-     * Replace the contents with servers [begin, end) keyed by
-     * keys[id] — the batched interval rebuild: one bulk fill from a
-     * contiguous key array, heapified lazily in O(n) on first use.
-     */
-    void assignKeys(const Celsius *keys, std::size_t begin,
-                    std::size_t end)
-    {
-        heap_.resize(end - begin);
-        GroupEntry *out = heap_.data();
-        for (std::size_t id = begin; id < end; ++id)
-            *out++ = GroupEntry{keys[id], id};
         dirty_ = true;
     }
 
@@ -253,9 +227,6 @@ class TempOrderedGroup
 
 /** Coolest-first group (the balanced-placement workhorse). */
 using BalancedGroup = TempOrderedGroup<CoolerFirst>;
-
-/** Hottest-first group (melt-preservation packing order). */
-using PackingGroup = TempOrderedGroup<HotterFirst>;
 
 } // namespace vmt
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Batched-engine placement groups: block-min selection over dense
- * double keys (DESIGN.md §14).
+ * Placement groups: block-min selection over dense double keys
+ * (DESIGN.md §14).
  *
  * The heap in balanced_group.h pays an O(n) Floyd heapify at every
  * interval rebuild even when the interval then places only a handful
@@ -17,9 +17,11 @@
  * accumulator's latency chain (min/max are exact regardless of
  * association, unlike FP sums — that is what makes the unroll free).
  *
- * Decision contract: the pop order must bitwise-match the scalar
- * engine's strict (temp, id) total order. Keys are the identical
- * doubles the scalar engine uses, and ties are broken by *position*:
+ * Decision contract: the pop order must bitwise-match the heap's
+ * strict (temp, id) total order (the scalar schedulers in
+ * tests/reference/ are the oracle). Keys are the identical doubles
+ * the per-object accessors produce, and ties are broken by
+ * *position*:
  * every fill path appends servers in ascending id order (asserted),
  * so "first position among equal keys" IS "smallest id" (and last
  * position is largest id, for the hottest-first packing order). The
@@ -40,7 +42,6 @@
 #include <vector>
 
 #include "sched/balanced_group.h"
-#include "sched/placement_engine.h"
 #include "sched/scheduler.h"
 #include "server/cluster.h"
 #include "util/units.h"
@@ -107,10 +108,10 @@ foldRun(const double *x, std::size_t n)
 }
 
 /**
- * Selection group for the batched placement engine. Same placement
- * semantics as TempOrderedGroup<Before> — identical decisions, pinned
- * by the `ctest -L sched` lockstep suite — with an O(n) fold rebuild
- * and O(sqrt n) placements instead of heap maintenance.
+ * Selection group for the schedulers. Same placement semantics as
+ * TempOrderedGroup<Before> — identical decisions, pinned by the
+ * `ctest -L sched` lockstep suite — with an O(n) fold rebuild and
+ * O(sqrt n) placements instead of heap maintenance.
  *
  * Precondition: servers are added in ascending id order (every
  * interval rebuild iterates ids forward; asserted in debug builds).
@@ -134,7 +135,7 @@ class BlockMinGroup
     }
 
     /** Add one server keyed by its projected steady-state air
-     *  temperature (identical expression to the scalar heap's). */
+     *  temperature (identical expression to TempOrderedGroup's). */
     void add(const Cluster &cluster, std::size_t id)
     {
         const Server &srv = cluster.server(id);
@@ -147,8 +148,8 @@ class BlockMinGroup
 
     /** Add one server with a caller-computed key. Ids must arrive
      *  ascending (the position tie-break depends on it). The front is
-     *  rebuilt lazily on the next placement (like the scalar heap's
-     *  deferred heapify), so a fill is just appends. */
+     *  rebuilt lazily on the next placement (like the heap's deferred
+     *  heapify), so a fill is just appends. */
     void addKeyed(Celsius temp, std::size_t id)
     {
         assert(fill_ == 0 || id > idAt(fill_ - 1));
@@ -173,8 +174,8 @@ class BlockMinGroup
 
     /**
      * Replace the contents with servers [begin, end) keyed by
-     * keys[id] — the batched interval rebuild: one dense copy, one
-     * fold pass, and ids stay implicit (id = begin + position).
+     * keys[id] — the interval rebuild: one dense copy, one fold pass,
+     * and ids stay implicit (id = begin + position).
      */
     void assignKeys(const Celsius *keys, std::size_t begin,
                     std::size_t end)
@@ -328,7 +329,7 @@ class BlockMinGroup
     }
 
     /** Rebuild every block's front after deferred appends (the
-     *  batched analogue of the scalar heap's deferred heapify). */
+     *  analogue of the heap's deferred heapify). */
     void ensureFront()
     {
         if (!frontDirty_)
@@ -356,94 +357,6 @@ class BlockMinGroup
     /** id of position 0 when ids are implicit; kNoServer otherwise. */
     std::size_t implicitBase_ = kNoServer;
 };
-
-/**
- * Engine-routing facade: one member per scheduler group, holding both
- * the scalar reference heap and the batched block-min group, with
- * every operation forwarded to whichever the placement engine — read
- * once at construction, like the schedulers' own engine capture —
- * selected. Keeps the scheduler logic single-path while the two
- * engines keep their own data structures.
- */
-template <typename Before>
-class EngineGroup
-{
-  public:
-    void clear()
-    {
-        if (batched_)
-            blocks_.clear();
-        else
-            heap_.clear();
-    }
-
-    void add(const Cluster &cluster, std::size_t id)
-    {
-        if (batched_)
-            blocks_.add(cluster, id);
-        else
-            heap_.add(cluster, id);
-    }
-
-    void addKeyed(Celsius temp, std::size_t id)
-    {
-        if (batched_)
-            blocks_.addKeyed(temp, id);
-        else
-            heap_.addKeyed(temp, id);
-    }
-
-    void assignKeys(const Celsius *keys, std::size_t begin,
-                    std::size_t end)
-    {
-        if (batched_)
-            blocks_.assignKeys(keys, begin, end);
-        else
-            heap_.assignKeys(keys, begin, end);
-    }
-
-    template <typename Keep>
-    void assignKeysIf(const Celsius *keys, std::size_t begin,
-                      std::size_t end, Keep &&keep)
-    {
-        if (batched_) {
-            blocks_.assignKeysIf(keys, begin, end,
-                                 std::forward<Keep>(keep));
-            return;
-        }
-        heap_.clear();
-        for (std::size_t id = begin; id < end; ++id) {
-            if (keep(id))
-                heap_.addKeyed(keys[id], id);
-        }
-    }
-
-    std::size_t place(Cluster &cluster, Watts added_watts)
-    {
-        return batched_ ? blocks_.place(cluster, added_watts)
-                        : heap_.place(cluster, added_watts);
-    }
-
-    std::size_t placeIfBelow(Cluster &cluster, Watts added_watts,
-                             Watts limit)
-    {
-        return batched_
-                   ? blocks_.placeIfBelow(cluster, added_watts, limit)
-                   : heap_.placeIfBelow(cluster, added_watts, limit);
-    }
-
-  private:
-    bool batched_ =
-        globalPlacementEngine() == PlacementEngine::Batched;
-    TempOrderedGroup<Before> heap_;
-    BlockMinGroup<Before> blocks_;
-};
-
-/** Coolest-first group with engine routing. */
-using EngineBalancedGroup = EngineGroup<CoolerFirst>;
-
-/** Hottest-first group with engine routing. */
-using EnginePackingGroup = EngineGroup<HotterFirst>;
 
 } // namespace vmt
 

@@ -3,16 +3,14 @@
  * Contiguous per-interval snapshot of the placement-relevant server
  * state (DESIGN.md §14).
  *
- * The scalar interval rebuild walks one Server object at a time:
- * every BalancedGroup::add pays a power-cache probe plus scattered
- * accessor reads ~half a kilobyte apart per server. PlacementView
- * gathers the three quantities placement actually reads — projected
- * steady-state air temperature, current air temperature, estimated
- * melt fraction — into dense arrays with one fused sweep over the
- * ThermalSoA arrays (reusing the PR 6 power dirty bitmap, so only
- * servers whose draw changed since the last gather are recomputed).
- * Under the scalar thermal kernel the sweep falls back to the
- * per-object accessors and is merely tidier, not faster.
+ * An accessor walk over the Server objects pays a power-cache probe
+ * plus scattered reads ~half a kilobyte apart per server.
+ * PlacementView gathers the three quantities placement actually
+ * reads — projected steady-state air temperature, current air
+ * temperature, estimated melt fraction — into dense arrays with one
+ * sweep over the ThermalSoA arrays (reusing the power dirty bitmap,
+ * so only servers whose draw changed since the last gather are
+ * recomputed).
  *
  * Bitwise contract: every array element equals what the per-object
  * accessor chain produces, expression shape included —
@@ -20,17 +18,17 @@
  *                = Server::thermal().inletTemp() + rise * power(model)
  *   air[i]       = Server::airTemp()
  *   estMelt[i]   = Server::estimatedMeltFraction()
- * so heaps filled from the view hold the same key multiset as heaps
- * filled through the accessors, and — because the (temp, id)
- * comparator is a strict total order — produce identical placement
- * decisions. The `ctest -L sched` lockstep suite pins this.
+ * so groups filled from the view hold the same key multiset as heaps
+ * filled through the accessors (the scalar reference schedulers in
+ * tests/reference/), and — because the (temp, id) comparator is a
+ * strict total order — produce identical placement decisions. The
+ * `ctest -L sched` lockstep suite pins this.
  *
  * Validity: the arrays snapshot thermal state, which only changes at
  * Cluster::stepThermal — never during placement. One refresh() per
  * scheduling interval therefore stays exact for every placement
  * decision in that interval (placements change *power*, which the
- * groups track by bumping their own keys, exactly as the scalar
- * engine does).
+ * groups track by bumping their own keys).
  */
 
 #ifndef VMT_SCHED_PLACEMENT_VIEW_H
@@ -50,7 +48,7 @@ class PlacementView
   public:
     /**
      * Re-gather all arrays from the cluster (one sweep). Non-const
-     * cluster because the SoA path first refreshes the gathered
+     * cluster because the projected keys first refresh the gathered
      * power array from its dirty bitmap.
      */
     void refresh(Cluster &cluster) { refreshImpl(cluster, 7); }

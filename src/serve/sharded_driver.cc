@@ -10,7 +10,6 @@
 #include "core/policy_factory.h"
 #include "state/recovery.h"
 #include "state/snapshot.h"
-#include "thermal/pcm.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -1060,9 +1059,7 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     conf.putString(shards_.front().scheduler->name());
     conf.putDouble(config_.gv);
     conf.putDouble(config_.waxThreshold);
-    const Cluster &first = shards_.front().cluster;
-    conf.putU8(static_cast<std::uint8_t>(
-        first.server(0).thermal().pcm().integrator()));
+    conf.putU8(kClosedFormIntegratorByte);
     conf.putString(feed.name());
 
     feed.saveState(writer.section("FEED"));
@@ -1218,14 +1215,10 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     checkDouble("grouping value", conf.getDouble(), config_.gv);
     checkDouble("wax threshold", conf.getDouble(),
                 config_.waxThreshold);
-    const auto integrator = static_cast<PcmIntegrator>(conf.getU8());
-    const Cluster &first = shards_.front().cluster;
-    const PcmIntegrator current =
-        first.server(0).thermal().pcm().integrator();
-    if (integrator != current)
-        mismatch(std::string("PCM integrator: snapshot ") +
-                 pcmIntegratorName(integrator) + ", run " +
-                 pcmIntegratorName(current));
+    if (const std::string problem =
+            pcmIntegratorByteProblem(conf.getU8());
+        !problem.empty())
+        mismatch(problem);
     const std::string feed_name = conf.getString();
     if (feed_name != feed.name())
         mismatch("feed: snapshot '" + feed_name + "', run '" +

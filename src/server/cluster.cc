@@ -31,8 +31,7 @@ Cluster::Cluster(std::size_t num_servers, const ServerSpec &spec,
                  const std::vector<Kelvin> &inlet_offsets)
     : spec_(spec),
       thermal_(thermal),
-      power_(power),
-      kernel_(globalThermalKernel())
+      power_(power)
 {
     if (num_servers == 0)
         fatal("Cluster requires at least one server");
@@ -48,44 +47,17 @@ Cluster::Cluster(std::size_t num_servers, const ServerSpec &spec,
     totalCores_ = num_servers * spec.cores();
     aliveServers_ = num_servers;
 
-    if (kernel_ == ThermalKernel::Soa) {
-        soa_ = std::make_unique<ThermalSoA>(
-            thermal, servers_[0].thermal().pcm().integrator(),
-            num_servers);
-        for (std::size_t i = 0; i < num_servers; ++i)
-            servers_[i].bindSoa(soa_.get(), i);
-        powerDirty_.assign((num_servers + 63) / 64, 0);
-        markAllPowerDirty();
-    }
-}
-
-void
-Cluster::setThermalKernel(ThermalKernel kernel)
-{
-    if (kernel == kernel_)
-        return;
-    if (kernel == ThermalKernel::Scalar) {
-        for (Server &srv : servers_)
-            srv.unbindSoa();
-        soa_.reset();
-        powerDirty_.clear();
-    } else {
-        soa_ = std::make_unique<ThermalSoA>(
-            thermal_, servers_[0].thermal().pcm().integrator(),
-            servers_.size());
-        for (std::size_t i = 0; i < servers_.size(); ++i)
-            servers_[i].bindSoa(soa_.get(), i);
-        powerDirty_.assign((servers_.size() + 63) / 64, 0);
-        markAllPowerDirty();
-    }
-    kernel_ = kernel;
+    soa_ = std::make_unique<ThermalSoA>(thermal, num_servers);
+    for (std::size_t i = 0; i < num_servers; ++i)
+        servers_[i].bindSoa(soa_.get(), i);
+    powerDirty_.assign((num_servers + 63) / 64, 0);
+    markAllPowerDirty();
 }
 
 void
 Cluster::markPowerDirty(std::size_t id)
 {
-    if (soa_ != nullptr)
-        powerDirty_[id >> 6] |= std::uint64_t{1} << (id & 63);
+    powerDirty_[id >> 6] |= std::uint64_t{1} << (id & 63);
 }
 
 void
@@ -207,69 +179,11 @@ Cluster::totalPower() const
 ClusterSample
 Cluster::stepThermal(Seconds dt, Celsius hot_threshold)
 {
-    return kernel_ == ThermalKernel::Soa
-               ? stepThermalSoa(dt, hot_threshold)
-               : stepThermalScalar(dt, hot_threshold);
-}
-
-ClusterSample
-Cluster::stepThermalScalar(Seconds dt, Celsius hot_threshold)
-{
-    // Stepping can flip per-server throttle states, which changes
-    // power draws.
-    totalPowerCache_.reset();
-    ClusterSample agg;
-    bool first = true;
-    const auto accumulate = [&](const ThermalSample &s,
-                                const Server &srv) {
-        agg.totalPower += s.rejectedPower + s.waxHeatFlow;
-        agg.coolingLoad += s.rejectedPower;
-        agg.waxHeatFlow += s.waxHeatFlow;
-        agg.meanAirTemp += s.airTemp;
-        agg.meanMeltFraction += srv.waxMeltFraction();
-        if (first || s.airTemp > agg.maxAirTemp)
-            agg.maxAirTemp = s.airTemp;
-        first = false;
-        if (s.airTemp >= hot_threshold)
-            ++agg.serversAboveThreshold;
-        if (srv.throttled())
-            ++agg.throttledServers;
-    };
-
-    if (useParallelPath(servers_.size())) {
-        // Servers are thermally independent within a step, so the
-        // expensive part (RC/PCM integration) fans out; the
-        // floating-point reduction stays serial and in server-index
-        // order so the sample is bitwise identical to the serial
-        // path.
-        stepScratch_.resize(servers_.size());
-        parallelFor(globalPool(), 0, servers_.size(), kThermalGrain,
-                    [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i)
-                            stepScratch_[i] =
-                                servers_[i].stepThermal(power_, dt);
-                    });
-        for (std::size_t i = 0; i < servers_.size(); ++i)
-            accumulate(stepScratch_[i], servers_[i]);
-    } else {
-        for (Server &srv : servers_)
-            accumulate(srv.stepThermal(power_, dt), srv);
-    }
-    const auto n = static_cast<double>(servers_.size());
-    agg.meanAirTemp /= n;
-    agg.meanMeltFraction /= n;
-    return agg;
-}
-
-ClusterSample
-Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
-{
     totalPowerCache_.reset();
     const std::size_t n = servers_.size();
 
-    // Gather stale power entries, then batch-step. The chunk
-    // boundaries use the same fixed grain as the scalar parallel
-    // path; per-server values are independent of them either way.
+    // Gather stale power entries, then batch-step. Per-server values
+    // are independent of the (fixed-grain) chunk boundaries.
     refreshPowerArray();
     soa_->beginStep(dt);
     if (useParallelPath(n)) {
@@ -282,10 +196,11 @@ Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
     }
 
     // Serial index-order throttle sync + reduction: the identical
-    // expression shapes (and order) as the scalar accumulate lambda,
-    // so the sample is bitwise the same. The hysteresis test reads the
-    // SoA throttle mirror so the scan stays on contiguous memory;
-    // only actual flips (rare) touch the scattered Server objects.
+    // expression shapes (and order) as the per-object oracle's
+    // accumulation (tests/reference/), so the sample is bitwise the
+    // same. The hysteresis test reads the SoA throttle mirror so the
+    // scan stays on contiguous memory; only actual flips (rare) touch
+    // the scattered Server objects.
     ClusterSample agg;
     const ThermalSoA &soa = *soa_;
     // Pure reduction first, throttle scan second: the reduction body
@@ -293,8 +208,8 @@ Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
     // in registers for the whole sweep (applyThrottle in the same
     // loop would clobber memory every iteration as far as the
     // compiler knows). n >= 1 (ThermalSoA enforces it), so seeding
-    // the running max with server 0 matches the scalar path's
-    // first-iteration behaviour exactly.
+    // the running max with server 0 matches the per-object
+    // accumulation's first-iteration behaviour exactly.
     agg.maxAirTemp = soa.airTemp(0);
     for (std::size_t i = 0; i < n; ++i) {
         const Watts wax_flow = soa.waxFlow(i);

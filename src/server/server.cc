@@ -125,18 +125,6 @@ Server::bindSoa(ThermalSoA *soa, std::size_t index)
 }
 
 void
-Server::unbindSoa()
-{
-    if (soa_ == nullptr)
-        return;
-    thermal_.restoreState(soa_->airTemp(soaIndex_),
-                          soa_->enthalpy(soaIndex_));
-    estimator_.restoreEnthalpy(soa_->estimatedEnthalpy(soaIndex_));
-    soa_ = nullptr;
-    soaIndex_ = 0;
-}
-
-void
 Server::saveState(Serializer &out) const
 {
     for (std::size_t count : counts_)
@@ -145,7 +133,7 @@ Server::saveState(Serializer &out) const
     out.putBool(throttled_);
     out.putDouble(thermal_.params().inletTemp);
     // Accessors, not members: while SoA-bound they read the SoA
-    // arrays, so either kernel snapshots the same bytes.
+    // arrays, so bound and standalone servers snapshot alike.
     out.putDouble(airTemp());
     out.putDouble(waxEnthalpy());
     out.putDouble(estimatedWaxEnthalpy());

@@ -131,7 +131,8 @@ class Server
      * Advance thermal state by dt at the server's current power.
      * Also feeds the wax-state estimator with the container sensor.
      * Panics while SoA-bound — the Cluster drives the batched kernel
-     * instead (use --thermal-kernel=scalar for this path).
+     * instead; this per-object step serves standalone servers and
+     * the thermal oracle in tests/reference/.
      */
     ThermalSample stepThermal(const PowerModel &model, Seconds dt);
 
@@ -195,7 +196,7 @@ class Server
      * Thermal model (read-only). While SoA-bound, the air node, wax
      * enthalpy and estimator inside lag the SoA arrays — read dynamic
      * state through the Server accessors above; static configuration
-     * (params(), inletTemp(), pcm().integrator()) stays authoritative
+     * (params(), inletTemp(), inletOffset()) stays authoritative
      * here.
      */
     const ServerThermal &thermal() const { return thermal_; }
@@ -212,16 +213,11 @@ class Server
      * Attach this server to slot `index` of a ThermalSoA, seeding the
      * slot from the per-object state. While bound, the SoA arrays are
      * authoritative for air temperature, wax enthalpy and the
-     * estimator state; the accessors above redirect.
+     * estimator state; the accessors above redirect. Binding is for
+     * the server's lifetime (the owning Cluster binds at
+     * construction).
      */
     void bindSoa(ThermalSoA *soa, std::size_t index);
-
-    /** Detach, writing the SoA state back into the per-object
-     *  models (kernel switch / teardown). */
-    void unbindSoa();
-
-    /** True while attached to a ThermalSoA. */
-    bool soaBound() const { return soa_ != nullptr; }
 
     /**
      * Checkpoint the server's dynamic state: job mix, throttle latch,

@@ -6,7 +6,6 @@
 #include "fault/fault_engine.h"
 #include "obs/observability.h"
 #include "state/snapshot.h"
-#include "thermal/pcm.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -120,12 +119,11 @@ saveSnapshot(const SimState &state, std::size_t completed,
     conf.putSize(config.peakWindow);
     conf.putBool(config.modelRecirculation);
     conf.putBool(config.recordHeatmaps);
-    const Cluster &cluster = state.cluster;
-    conf.putU8(static_cast<std::uint8_t>(
-        cluster.server(0).thermal().pcm().integrator()));
+    conf.putU8(kClosedFormIntegratorByte);
     conf.putString(state.scheduler.name());
 
     state.generator.saveState(writer.section("GENR"));
+    const Cluster &cluster = state.cluster;
     cluster.saveState(writer.section("CLUS"));
 
     // QUEU: the job slot table (verbatim, including stale freed
@@ -250,13 +248,10 @@ loadSnapshot(SimState &state, const std::string &path)
         mismatch("recirculation modelling on/off differs");
     if (conf.getBool() != config.recordHeatmaps)
         mismatch("heatmap recording on/off differs");
-    const auto integrator = static_cast<PcmIntegrator>(conf.getU8());
-    const PcmIntegrator current =
-        state.cluster.server(0).thermal().pcm().integrator();
-    if (integrator != current)
-        mismatch(std::string("PCM integrator: snapshot ") +
-                 pcmIntegratorName(integrator) + ", run " +
-                 pcmIntegratorName(current));
+    if (const std::string problem =
+            pcmIntegratorByteProblem(conf.getU8());
+        !problem.empty())
+        mismatch(problem);
     const std::string scheduler_name = conf.getString();
     if (scheduler_name != state.scheduler.name())
         mismatch("scheduler: snapshot '" + scheduler_name +

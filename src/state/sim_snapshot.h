@@ -68,7 +68,8 @@ void saveSnapshot(const SimState &state, std::size_t completed,
  * Restore driver state from a snapshot, returning the number of
  * completed intervals to skip. The driver must have been set up with
  * the same configuration (cluster size, seed, interval, scheduler,
- * PCM integrator, ...) that produced the snapshot; any mismatch, and
+ * ...) that produced the snapshot; any mismatch — including a
+ * PCM-integrator byte other than the closed form's 0 — and
  * any corruption or truncation of the file, throws FatalError.
  */
 std::size_t loadSnapshot(SimState &state, const std::string &path);

@@ -2,27 +2,13 @@
 
 #include <cstdlib>
 #include <optional>
+#include <string>
 
 #include "util/logging.h"
 
 namespace vmt {
 
 namespace {
-
-/** --thermal-kernel override; unset falls back to the environment. */
-std::optional<ThermalKernel> g_kernel_override;
-
-/** VMT_THERMAL_KERNEL, parsed lazily once (like VMT_THREADS). */
-ThermalKernel
-envKernel()
-{
-    static const ThermalKernel parsed = [] {
-        if (const char *env = std::getenv("VMT_THERMAL_KERNEL"))
-            return thermalKernelFromString(env);
-        return ThermalKernel::Soa;
-    }();
-    return parsed;
-}
 
 /** --thermal-parallel-threshold override. */
 std::optional<std::size_t> g_threshold_override;
@@ -49,35 +35,6 @@ envThreshold()
 }
 
 } // namespace
-
-ThermalKernel
-globalThermalKernel()
-{
-    return g_kernel_override ? *g_kernel_override : envKernel();
-}
-
-void
-setGlobalThermalKernel(ThermalKernel kernel)
-{
-    g_kernel_override = kernel;
-}
-
-ThermalKernel
-thermalKernelFromString(const std::string &name)
-{
-    if (name == "soa")
-        return ThermalKernel::Soa;
-    if (name == "scalar")
-        return ThermalKernel::Scalar;
-    fatal("thermal-kernel must be 'soa' or 'scalar', got '" + name +
-          "'");
-}
-
-const char *
-thermalKernelName(ThermalKernel kernel)
-{
-    return kernel == ThermalKernel::Soa ? "soa" : "scalar";
-}
 
 std::size_t
 thermalParallelThreshold()

@@ -1,24 +1,15 @@
 /**
  * @file
- * Process-wide thermal-execution knobs (mirrors the --pcm-integrator
- * pattern in pcm.h):
- *
- *  - ThermalKernel: how Cluster::stepThermal executes the per-server
- *    thermal update. `Soa` (the default) runs the batched
- *    structure-of-arrays kernel (thermal_soa.h); `Scalar` steps each
- *    Server object individually (the historical reference path). The
- *    two are bitwise identical — see DESIGN.md §13 — so the knob is a
- *    performance/debugging choice, not a modelling one.
- *  - Thermal parallel threshold: the cluster size at or above which
- *    stepThermal fans out on the global thread pool (historically the
- *    compile-time kThermalParallelThreshold).
+ * Process-wide thermal-execution knob: the cluster size at or above
+ * which Cluster::stepThermal fans the batched SoA kernel out on the
+ * global thread pool (historically the compile-time
+ * kThermalParallelThreshold).
  */
 
 #ifndef VMT_THERMAL_THERMAL_KERNEL_H
 #define VMT_THERMAL_THERMAL_KERNEL_H
 
 #include <cstddef>
-#include <string>
 
 namespace vmt {
 
@@ -30,35 +21,6 @@ namespace vmt {
  * that scale; the 1,000-server headline runs fan out.
  */
 inline constexpr std::size_t kThermalParallelThreshold = 256;
-
-/** How Cluster::stepThermal executes the interval update. */
-enum class ThermalKernel
-{
-    /** Per-object Server::stepThermal loop (bitwise reference). */
-    Scalar,
-    /** Batched structure-of-arrays kernel (the default). */
-    Soa,
-};
-
-/**
- * Kernel newly-constructed Cluster instances use. Resolved, in
- * priority order, from setGlobalThermalKernel() (the --thermal-kernel
- * flag), the VMT_THERMAL_KERNEL environment variable ("soa" or
- * "scalar"), then ThermalKernel::Soa.
- */
-ThermalKernel globalThermalKernel();
-
-/** Override the process-wide default (the --thermal-kernel knob). */
-void setGlobalThermalKernel(ThermalKernel kernel);
-
-/**
- * Parse "soa" / "scalar".
- * @throws FatalError on anything else.
- */
-ThermalKernel thermalKernelFromString(const std::string &name);
-
-/** Canonical flag spelling of a kernel. */
-const char *thermalKernelName(ThermalKernel kernel);
 
 /**
  * Cluster size at or above which stepThermal()/the SoA chunk loop use

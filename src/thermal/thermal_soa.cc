@@ -162,26 +162,6 @@ liquidSweep(std::size_t n, double *__restrict hp,
     }
 }
 
-/**
- * pcmTemperature + pcmMeltFraction over n servers as branch-free
- * selects, for the substep integrator's tail (the closed integrator
- * produces both inside its regime runs, where the regime is already
- * known and the off-regime divides fold away).
- */
-void
-selectSweep(std::size_t n, const double *__restrict hp,
-            double *__restrict wt, double *__restrict mf,
-            Celsius melt, double hcs, double hcl, Joules cap)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const double h = hp[i];
-        wt[i] = h < 0.0      ? melt + h / hcs
-                : h <= cap   ? melt
-                             : melt + (h - cap) / hcl;
-        mf[i] = std::clamp(h / cap, 0.0, 1.0);
-    }
-}
-
 /** Length of the prefix of regime[0..n) equal to regime[0], eight
  *  bytes per probe (the fleet melts and freezes together, so runs are
  *  long and the byte-at-a-time scan was a measurable serial cost). */
@@ -206,11 +186,9 @@ runLength(const std::uint8_t *regime, std::size_t n)
 } // namespace
 
 ThermalSoA::ThermalSoA(const ServerThermalParams &params,
-                       PcmIntegrator integrator,
                        std::size_t num_servers)
     : params_(params),
       derived_(derivePcm(params.pcm)),
-      integrator_(integrator),
       sharedEstimator_(params.pcm),
       air_(num_servers, 0.0),
       enthalpy_(num_servers, 0.0),
@@ -290,21 +268,17 @@ ThermalSoA::beginStep(Seconds dt)
         std::exp(dt / derived_.tauSolid) * (1.0 + 1e-12);
     consts_.eLiquidMargin =
         std::exp(dt / derived_.tauLiquid) * (1.0 + 1e-12);
-    consts_.substep = pcmSubstepLayout(derived_, dt);
 }
 
 void
 ThermalSoA::stepChunk(std::size_t begin, std::size_t end)
 {
-    if (integrator_ == PcmIntegrator::Closed)
-        stepChunkClosed(begin, end);
-    else
-        stepChunkSubstep(begin, end);
+    stepChunkClosed(begin, end);
     stepChunkFused(begin, end);
 }
 
 /**
- * Pass 1 (closed integrator): classify, run-partition, update.
+ * Pass 1: classify, run-partition, closed-form update.
  *
  * The regime is the exact predicate chain pcmClosedStep branches on,
  * so every server lands in the regime the scalar walk would enter
@@ -408,46 +382,6 @@ ThermalSoA::liquidRun(std::size_t begin, std::size_t end)
                 fixup_.data() + begin, params_.pcm.meltTemp,
                 derived_.heatCapLiquid, derived_.latentCap,
                 consts_.eLiquid, consts_.eLiquidMargin);
-}
-
-/**
- * Pass 1 (substep integrator): the explicit reference integrator,
- * substep-outer / server-inner so the inner loop vectorizes. The
- * absorbed heat accumulates substep by substep per server — the same
- * summation order as pcmSubstepStep, hence the same doubles.
- */
-void
-ThermalSoA::stepChunkSubstep(std::size_t begin, std::size_t end)
-{
-    double *__restrict hp = enthalpy_.data();
-    const double *__restrict air = air_.data();
-    double *__restrict ab = absorbed_.data();
-    const Celsius melt = params_.pcm.meltTemp;
-    const double G = params_.pcm.conductance;
-    const double hcs = derived_.heatCapSolid;
-    const double hcl = derived_.heatCapLiquid;
-    const Joules cap = derived_.latentCap;
-    const PcmSubstepLayout layout = consts_.substep;
-
-    for (std::size_t i = begin; i < end; ++i)
-        ab[i] = 0.0;
-    for (int k = 0; k < layout.count; ++k) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const double h = hp[i];
-            // pcmTemperature, written as a select chain.
-            const Celsius t =
-                h < 0.0      ? melt + h / hcs
-                : h <= cap   ? melt
-                             : melt + (h - cap) / hcl;
-            const Watts flow = G * (air[i] - t);
-            const Joules dq = flow * layout.len;
-            hp[i] = h + dq;
-            ab[i] += dq;
-        }
-    }
-
-    selectSweep(end - begin, hp + begin, waxT_.data() + begin,
-                meltFrac_.data() + begin, melt, hcs, hcl, cap);
 }
 
 /**

@@ -24,8 +24,9 @@
  *
  * Bitwise contract: every arithmetic statement matches the per-object
  * path's expression shape (same operations, same order, same cached
- * constants), so both kernels produce identical doubles; the
- * `ctest -L kernel` suite pins this. The no-cross fast paths only
+ * constants), so the batched and per-object steps produce identical
+ * doubles; the `ctest -L kernel` suite pins this against the oracle
+ * in tests/reference/. The no-cross fast paths only
  * claim a server when it is provably on the no-cross side of the
  * boundary (a 1e-12 relative guard band around the exact crossing
  * test, orders of magnitude wider than the ~1e-15 rounding
@@ -45,7 +46,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "thermal/pcm.h"
 #include "thermal/pcm_kernel.h"
 #include "thermal/rc_node.h"
 #include "thermal/thermal_params.h"
@@ -60,20 +60,18 @@ class ThermalSoA
   public:
     /**
      * @param params Thermal constants shared by every server.
-     * @param integrator PCM integrator to batch (must match the
-     *        per-object Pcm instances the SoA shadows).
      * @param num_servers Fleet size (> 0).
      */
     ThermalSoA(const ServerThermalParams &params,
-               PcmIntegrator integrator, std::size_t num_servers);
+               std::size_t num_servers);
 
     std::size_t size() const { return air_.size(); }
 
     /**
      * Refresh the per-dt constant cache (air gain, regime
-     * exponentials, substep layout). Must be called before stepChunk
-     * for a given dt; separate so the parallel path pays the
-     * transcendentals once, outside the fan-out.
+     * exponentials). Must be called before stepChunk for a given dt;
+     * separate so the parallel path pays the transcendentals once,
+     * outside the fan-out.
      */
     void beginStep(Seconds dt);
 
@@ -123,8 +121,8 @@ class ThermalSoA
 
     /** Alive/failed bitmap: the power gather skips Failed servers and
      *  writes 0 W directly (bitwise what the Server cache returns);
-     *  Failed servers still step thermally, exactly like the scalar
-     *  path (air decays toward inlet, wax refreezes). */
+     *  Failed servers still step thermally, exactly like the
+     *  per-object step (air decays toward inlet, wax refreezes). */
     void setFailed(std::size_t i, bool failed);
     bool failed(std::size_t i) const
     {
@@ -161,11 +159,9 @@ class ThermalSoA
 
     const PcmDerived &derived() const { return derived_; }
     const ServerThermalParams &params() const { return params_; }
-    PcmIntegrator integrator() const { return integrator_; }
 
   private:
     void stepChunkClosed(std::size_t begin, std::size_t end);
-    void stepChunkSubstep(std::size_t begin, std::size_t end);
     void stepChunkFused(std::size_t begin, std::size_t end);
     void solidRun(std::size_t begin, std::size_t end);
     void meltingRun(std::size_t begin, std::size_t end);
@@ -185,12 +181,10 @@ class ThermalSoA
          *  (see header comment). */
         double eSolidMargin = 0.0;
         double eLiquidMargin = 0.0;
-        PcmSubstepLayout substep;
     };
 
     ServerThermalParams params_;
     PcmDerived derived_;
-    PcmIntegrator integrator_;
     /** One estimator shared fleet-wide: the lookup table is a pure
      *  function of the (homogeneous) wax parameters, so per-server
      *  copies only differ in their integrated state, which lives in

@@ -122,4 +122,15 @@ Flags::unreadFlags() const
     return unread;
 }
 
+std::vector<std::string>
+Flags::unknownFlags(const std::set<std::string> &known) const
+{
+    std::vector<std::string> unknown;
+    for (const auto &[name, value] : values_) {
+        if (!known.contains(name))
+            unknown.push_back(name);
+    }
+    return unknown;
+}
+
 } // namespace vmt

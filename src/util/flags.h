@@ -74,6 +74,14 @@ class Flags
      */
     std::vector<std::string> unreadFlags() const;
 
+    /**
+     * Flags whose names are not in `known`, in name order — lets a
+     * front-end reject typos and removed options before doing any
+     * work, rather than after.
+     */
+    std::vector<std::string>
+    unknownFlags(const std::set<std::string> &known) const;
+
   private:
     std::map<std::string, std::string> values_;
     mutable std::map<std::string, bool> read_;

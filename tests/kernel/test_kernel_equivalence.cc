@@ -1,13 +1,14 @@
 /**
  * @file
- * Scalar/SoA thermal-kernel equivalence at the simulation level: the
- * batched SoA kernel must produce SimResult series bitwise identical
- * to the per-object scalar reference — across both PCM integrators,
- * serial and parallel stepping, scripted fault plans, and a
- * checkpoint written under one kernel and resumed under the other.
- * Double comparisons are deliberately exact (EXPECT_EQ, never
- * EXPECT_NEAR): the SoA kernel is a reorganization of the same
- * arithmetic, not an approximation of it.
+ * SoA thermal-kernel equivalence at the simulation level: whole
+ * runSimulation runs step the per-object oracle
+ * (tests/reference/scalar_thermal.h) in lockstep with the driver's
+ * cluster, and every interval's ClusterSample and per-server state
+ * must match bitwise — serial and parallel stepping, scripted fault
+ * plans, and a checkpoint restored into the oracle. Double
+ * comparisons are deliberately exact (EXPECT_EQ, never EXPECT_NEAR):
+ * the SoA kernel is a reorganization of the same arithmetic, not an
+ * approximation of it.
  *
  * The binary carries the ctest label "kernel" (run alone with
  * `ctest -L kernel`; CI also runs the label under ASan/UBSan and
@@ -21,34 +22,27 @@
 #include <vector>
 
 #include "common.h"
+#include "core/vmt_wa.h"
 #include "fault/fault_plan.h"
+#include "reference/scalar_thermal.h"
 #include "state/sim_snapshot.h"
-#include "thermal/pcm.h"
 #include "thermal/thermal_kernel.h"
 #include "util/thread_pool.h"
 
 namespace vmt {
 namespace {
 
+using reference::ThermalLockstep;
+
 /** Restores every process-wide knob the suite touches. */
 class KnobGuard
 {
   public:
-    KnobGuard()
-        : kernel_(globalThermalKernel()),
-          integrator_(globalPcmIntegrator())
-    {}
     ~KnobGuard()
     {
-        setGlobalThermalKernel(kernel_);
-        setGlobalPcmIntegrator(integrator_);
         setThermalParallelThreshold(kThermalParallelThreshold);
         setGlobalThreadCount(0);
     }
-
-  private:
-    ThermalKernel kernel_;
-    PcmIntegrator integrator_;
 };
 
 void
@@ -80,6 +74,27 @@ expectResultsIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.peakCoolingLoad, b.peakCoolingLoad);
 }
 
+/** The oracle's samples must be the run's series, interval by
+ *  interval, from `first` (the resume point) on. */
+void
+expectMatchesOracle(const SimResult &r, const ThermalLockstep &lockstep,
+                    std::size_t first = 0)
+{
+    EXPECT_EQ(lockstep.divergence(), "");
+    const std::vector<ClusterSample> &samples = lockstep.samples();
+    ASSERT_EQ(first + samples.size(), r.coolingLoad.size());
+    for (std::size_t k = 0; k < samples.size(); ++k) {
+        const ClusterSample &s = samples[k];
+        const std::size_t i = first + k;
+        ASSERT_EQ(r.coolingLoad.at(i), s.coolingLoad) << "interval " << i;
+        ASSERT_EQ(r.totalPower.at(i), s.totalPower) << "interval " << i;
+        ASSERT_EQ(r.waxHeatFlow.at(i), s.waxHeatFlow) << "interval " << i;
+        ASSERT_EQ(r.meanAirTemp.at(i), s.meanAirTemp) << "interval " << i;
+        ASSERT_EQ(r.meanMeltFraction.at(i), s.meanMeltFraction)
+            << "interval " << i;
+    }
+}
+
 SimConfig
 studyRun(std::size_t servers, double hours)
 {
@@ -88,37 +103,32 @@ studyRun(std::size_t servers, double hours)
     return config;
 }
 
+/** VMT-WA at the study GV with the oracle stepping alongside. */
 SimResult
-runWithKernel(const SimConfig &config, ThermalKernel kernel,
-              std::size_t threads)
+runLockstep(SimConfig config, std::size_t threads,
+            ThermalLockstep &lockstep,
+            const std::string &snapshot = {})
 {
-    setGlobalThermalKernel(kernel);
     setGlobalThreadCount(threads);
     // Threshold 1: even the small test fleets take the chunked
     // parallel path when more than one thread is configured.
     setThermalParallelThreshold(1);
-    return bench::runVmtWa(config, 22.0);
+    lockstep.attach(config, snapshot);
+    VmtWaScheduler sched(bench::studyVmt(22.0), hotMaskFromPaper());
+    return runSimulation(config, sched, lockstep.observer());
 }
 
-TEST(KernelEquivalence, MatchesScalarAcrossIntegratorsAndThreads)
+TEST(KernelEquivalence, MatchesScalarAcrossThreads)
 {
     KnobGuard guard;
     const SimConfig config = studyRun(80, 4.0);
-    for (const PcmIntegrator integ :
-         {PcmIntegrator::Closed, PcmIntegrator::Substep}) {
-        setGlobalPcmIntegrator(integ);
-        const SimResult scalar =
-            runWithKernel(config, ThermalKernel::Scalar, 1);
-        for (const std::size_t threads : {std::size_t{1},
-                                          std::size_t{4}}) {
-            const SimResult soa =
-                runWithKernel(config, ThermalKernel::Soa, threads);
-            SCOPED_TRACE(std::string("integrator=") +
-                         pcmIntegratorName(integ) + " threads=" +
-                         std::to_string(threads));
-            expectResultsIdentical(scalar, soa);
-        }
-    }
+    ThermalLockstep serial;
+    const SimResult reference = runLockstep(config, 1, serial);
+    expectMatchesOracle(reference, serial);
+    ThermalLockstep parallel;
+    const SimResult threaded = runLockstep(config, 4, parallel);
+    expectMatchesOracle(threaded, parallel);
+    expectResultsIdentical(reference, threaded);
 }
 
 TEST(KernelEquivalence, MatchesScalarUnderFaultPlan)
@@ -136,11 +146,8 @@ TEST(KernelEquivalence, MatchesScalarUnderFaultPlan)
         {7200.0, FaultEventType::ServerUp, 3, 0.0},
         {9000.0, FaultEventType::CoolingRestore, 0, 0.0},
     });
-    const SimResult scalar =
-        runWithKernel(config, ThermalKernel::Scalar, 1);
-    const SimResult soa =
-        runWithKernel(config, ThermalKernel::Soa, 1);
-    expectResultsIdentical(scalar, soa);
+    ThermalLockstep lockstep;
+    expectMatchesOracle(runLockstep(config, 1, lockstep), lockstep);
 }
 
 TEST(KernelEquivalence, CheckpointResumesAcrossKernels)
@@ -150,46 +157,35 @@ TEST(KernelEquivalence, CheckpointResumesAcrossKernels)
         testing::TempDir() + "kernel_xresume.snap";
     const SimConfig config = studyRun(60, 4.0);
 
-    // Uninterrupted reference under the scalar kernel.
-    const SimResult base =
-        runWithKernel(config, ThermalKernel::Scalar, 1);
+    ThermalLockstep uninterrupted;
+    const SimResult base = runLockstep(config, 1, uninterrupted);
+    expectMatchesOracle(base, uninterrupted);
 
-    // Same run under SoA, checkpointing mid-melt (2 h of 4 h).
+    // Same run, checkpointing mid-melt (2 h of 4 h).
     SimConfig writing = config;
     CheckpointOptions save;
     save.every = 120;
     save.path = path;
     attachCheckpointing(writing, save);
-    runWithKernel(writing, ThermalKernel::Soa, 1);
+    ThermalLockstep discarded;
+    runLockstep(writing, 1, discarded);
 
-    // Resume the SoA-written snapshot under the scalar kernel: the
-    // snapshot layout is kernel-independent (saveState reads through
-    // the accessors), so the spliced run must reproduce the
-    // uninterrupted series bitwise.
+    // Resume, restoring the snapshot's CLUS section straight into the
+    // oracle: the layout is kernel-independent (saveState reads
+    // through the accessors), so the per-object servers must step on
+    // bitwise in lockstep with the SoA cluster, and the spliced run
+    // must reproduce the uninterrupted series.
     SimConfig resuming = config;
     CheckpointOptions load;
     load.resumeFrom = path;
     attachCheckpointing(resuming, load);
+    ThermalLockstep resumed_oracle;
     const SimResult resumed =
-        runWithKernel(resuming, ThermalKernel::Scalar, 1);
+        runLockstep(resuming, 1, resumed_oracle, path);
+    expectMatchesOracle(resumed, resumed_oracle, 120);
     expectResultsIdentical(base, resumed);
 
-    // And the mirror: resume the same snapshot under SoA.
-    const SimResult resumedSoa =
-        runWithKernel(resuming, ThermalKernel::Soa, 1);
-    expectResultsIdentical(base, resumedSoa);
-
     std::remove(path.c_str());
-}
-
-TEST(KernelEquivalence, KernelKnobParsesAndNames)
-{
-    EXPECT_EQ(thermalKernelFromString("soa"), ThermalKernel::Soa);
-    EXPECT_EQ(thermalKernelFromString("scalar"),
-              ThermalKernel::Scalar);
-    EXPECT_STREQ(thermalKernelName(ThermalKernel::Soa), "soa");
-    EXPECT_STREQ(thermalKernelName(ThermalKernel::Scalar), "scalar");
-    EXPECT_THROW(thermalKernelFromString("avx512"), FatalError);
 }
 
 } // namespace

@@ -1,16 +1,17 @@
 /**
  * @file
- * Randomized lockstep property test for the scalar/SoA kernel pair:
- * two clusters — one per kernel — receive an identical seeded stream
- * of mutations (job churn, health transitions, per-server and global
- * inlet shifts spanning freeze, melt and throttle regimes, varying
- * step lengths) and must agree bitwise on every ClusterSample, on
- * per-server state at periodic deep checks, and on the serialized
- * snapshot at the end. This is the adversarial counterpart to the
- * scripted scenarios in test_kernel_equivalence.cc: the mutation
- * stream is designed to keep servers crossing PCM regime boundaries
- * so the SoA kernel's scalar-fixup path and its no-cross guard bands
- * are exercised continuously, not just at scenario edges.
+ * Randomized lockstep property test for the SoA thermal kernel: a
+ * cluster receives a seeded stream of mutations (job churn, health
+ * transitions, per-server and global inlet shifts spanning freeze,
+ * melt and throttle regimes, varying step lengths) while the
+ * per-object oracle (tests/reference/scalar_thermal.h) shadows it;
+ * the two must agree bitwise on every ClusterSample, on per-server
+ * state at periodic deep checks, and on the serialized snapshot at
+ * the end. This is the adversarial counterpart to the scripted
+ * scenarios in test_kernel_equivalence.cc: the mutation stream is
+ * designed to keep servers crossing PCM regime boundaries so the SoA
+ * kernel's scalar-fixup path and its no-cross guard bands are
+ * exercised continuously, not just at scenario edges.
  */
 
 #include <gtest/gtest.h>
@@ -18,35 +19,22 @@
 #include <cstddef>
 #include <string>
 
+#include "reference/scalar_thermal.h"
 #include "server/cluster.h"
 #include "state/serializer.h"
-#include "thermal/pcm.h"
-#include "thermal/thermal_kernel.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace vmt {
 namespace {
 
-/** Restores every process-wide knob the suite touches. */
+using reference::ScalarThermal;
+
+/** Restores the thread count the suite pins. */
 class KnobGuard
 {
   public:
-    KnobGuard()
-        : kernel_(globalThermalKernel()),
-          integrator_(globalPcmIntegrator())
-    {}
-    ~KnobGuard()
-    {
-        setGlobalThermalKernel(kernel_);
-        setGlobalPcmIntegrator(integrator_);
-        setThermalParallelThreshold(kThermalParallelThreshold);
-        setGlobalThreadCount(0);
-    }
-
-  private:
-    ThermalKernel kernel_;
-    PcmIntegrator integrator_;
+    ~KnobGuard() { setGlobalThreadCount(0); }
 };
 
 constexpr std::size_t kServers = 48;
@@ -54,9 +42,8 @@ constexpr std::size_t kSteps = 5000;
 constexpr std::size_t kDeepCheckEvery = 250;
 
 Cluster
-makeTwin(ThermalKernel kernel)
+makeCluster()
 {
-    setGlobalThermalKernel(kernel);
     return Cluster(kServers, ServerSpec{}, ServerThermalParams{},
                    PowerModel({}, 1.0));
 }
@@ -91,35 +78,23 @@ expectSamplesIdentical(const ClusterSample &a, const ClusterSample &b,
 }
 
 void
-expectServersIdentical(const Cluster &a, const Cluster &b,
+expectServersIdentical(const Cluster &a, const ScalarThermal &b,
                        std::size_t step)
 {
     ASSERT_EQ(a.totalPower(), b.totalPower()) << "step " << step;
-    for (std::size_t i = 0; i < a.numServers(); ++i) {
-        SCOPED_TRACE("step " + std::to_string(step) + " server " +
-                     std::to_string(i));
-        const Server &sa = a.server(i);
-        const Server &sb = b.server(i);
-        ASSERT_EQ(sa.airTemp(), sb.airTemp());
-        ASSERT_EQ(sa.waxEnthalpy(), sb.waxEnthalpy());
-        ASSERT_EQ(sa.waxMeltFraction(), sb.waxMeltFraction());
-        ASSERT_EQ(sa.estimatedWaxEnthalpy(),
-                  sb.estimatedWaxEnthalpy());
-        ASSERT_EQ(sa.throttled(), sb.throttled());
-        ASSERT_EQ(sa.health(), sb.health());
-        ASSERT_EQ(sa.power(a.powerModel()), sb.power(b.powerModel()));
-    }
+    EXPECT_EQ(reference::describeDivergence(a, b), "")
+        << "step " << step;
 }
 
 /**
- * One randomized mutation applied identically to both twins. All
- * decisions are drawn from the shared Rng plus const reads of the
- * scalar twin (whose state the deep checks pin to the SoA twin's).
+ * One randomized mutation of the cluster; the oracle picks it up
+ * through ScalarThermal::syncInputs before the next step. Decisions
+ * are drawn from the Rng plus const reads of the cluster.
  */
 void
-mutate(Rng &rng, Cluster &scalar, Cluster &soa)
+mutate(Rng &rng, Cluster &cluster)
 {
-    const Cluster &ref = scalar;
+    const Cluster &ref = cluster;
     const std::uint64_t roll = rng.below(100);
     const std::size_t id = rng.below(kServers);
     if (roll < 40) {
@@ -130,24 +105,21 @@ mutate(Rng &rng, Cluster &scalar, Cluster &soa)
         for (std::size_t k = 0; k < burst; ++k) {
             if (!ref.server(id).hasCapacity())
                 break;
-            scalar.addJob(id, type);
-            soa.addJob(id, type);
+            cluster.addJob(id, type);
         }
     } else if (roll < 62) {
         // Job churn toward cold: release cores so loaded wax refreezes.
         for (const WorkloadType type : kAllWorkloads) {
             const std::size_t idx = workloadIndex(type);
             if (ref.server(id).coreCounts()[idx] > 0) {
-                scalar.removeJob(id, type);
-                soa.removeJob(id, type);
+                cluster.removeJob(id, type);
                 break;
             }
         }
     } else if (roll < 74) {
         // Per-server inlet shift (recirculation modelling).
         const Celsius t = rng.uniform(16.0, 40.0);
-        scalar.setBaseInlet(id, t);
-        soa.setBaseInlet(id, t);
+        cluster.setBaseInlet(id, t);
     } else if (roll < 86) {
         // Global inlet swing. Mostly spans freeze<->melt around the
         // 35.7 C melting point; occasionally spikes hot enough to
@@ -156,8 +128,7 @@ mutate(Rng &rng, Cluster &scalar, Cluster &soa)
         const Celsius t = rng.uniform() < 0.2
                               ? rng.uniform(50.0, 62.0)
                               : rng.uniform(14.0, 40.0);
-        scalar.setBaseInlet(t);
-        soa.setBaseInlet(t);
+        cluster.setBaseInlet(t);
     } else {
         // Health transition: Up -> Failed (drained first, like the
         // fault driver) or Up -> Quarantined, and back Up.
@@ -167,57 +138,44 @@ mutate(Rng &rng, Cluster &scalar, Cluster &soa)
             next = rng.uniform() < 0.5 ? ServerHealth::Failed
                                        : ServerHealth::Quarantined;
         if (next == ServerHealth::Failed) {
-            drainServer(scalar, id);
-            drainServer(soa, id);
+            drainServer(cluster, id);
         }
-        scalar.setHealth(id, next);
-        soa.setHealth(id, next);
+        cluster.setHealth(id, next);
     }
-}
-
-void
-runLockstep(PcmIntegrator integrator, std::uint64_t seed)
-{
-    KnobGuard guard;
-    setGlobalPcmIntegrator(integrator);
-    setGlobalThreadCount(1);
-    Cluster scalar = makeTwin(ThermalKernel::Scalar);
-    Cluster soa = makeTwin(ThermalKernel::Soa);
-
-    Rng rng(seed);
-    const Seconds dts[3] = {30.0, 60.0, 300.0};
-    for (std::size_t step = 0; step < kSteps; ++step) {
-        mutate(rng, scalar, soa);
-        const Seconds dt = dts[rng.below(3)];
-        const ClusterSample a = scalar.stepThermal(dt, 38.0);
-        const ClusterSample b = soa.stepThermal(dt, 38.0);
-        expectSamplesIdentical(a, b, step);
-        if (::testing::Test::HasFatalFailure())
-            return;
-        if ((step + 1) % kDeepCheckEvery == 0) {
-            expectServersIdentical(scalar, soa, step);
-            if (::testing::Test::HasFatalFailure())
-                return;
-        }
-    }
-
-    // The serialized snapshots must be byte-identical: checkpoints
-    // written under either kernel are interchangeable.
-    Serializer sa;
-    Serializer sb;
-    scalar.saveState(sa);
-    soa.saveState(sb);
-    EXPECT_EQ(sa.bytes(), sb.bytes());
 }
 
 TEST(KernelProperty, LockstepClosedIntegrator)
 {
-    runLockstep(PcmIntegrator::Closed, 0xA5F00D5EEDull);
-}
+    KnobGuard guard;
+    setGlobalThreadCount(1);
+    Cluster cluster = makeCluster();
+    ScalarThermal oracle(cluster);
 
-TEST(KernelProperty, LockstepSubstepIntegrator)
-{
-    runLockstep(PcmIntegrator::Substep, 0xB16B00B5EEDull);
+    Rng rng(0xA5F00D5EEDull);
+    const Seconds dts[3] = {30.0, 60.0, 300.0};
+    for (std::size_t step = 0; step < kSteps; ++step) {
+        mutate(rng, cluster);
+        oracle.syncInputs(cluster);
+        const Seconds dt = dts[rng.below(3)];
+        const ClusterSample a = oracle.step(dt, 38.0);
+        const ClusterSample b = cluster.stepThermal(dt, 38.0);
+        expectSamplesIdentical(a, b, step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        if ((step + 1) % kDeepCheckEvery == 0) {
+            expectServersIdentical(cluster, oracle, step);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+
+    // The serialized snapshots must be byte-identical: a checkpoint
+    // restores into either representation.
+    Serializer sa;
+    Serializer sb;
+    oracle.saveState(sa);
+    cluster.saveState(sb);
+    EXPECT_EQ(sa.bytes(), sb.bytes());
 }
 
 } // namespace

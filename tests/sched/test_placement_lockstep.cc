@@ -1,13 +1,14 @@
 /**
  * @file
- * Randomized lockstep property suite for the scalar/batched placement
- * engine pair (DESIGN.md §14). Two cluster+scheduler twins — one
- * constructed under each engine — receive an identical seeded stream
- * of mutations (job churn, health flips with fault-style drains,
- * per-server and global inlet shifts, thermal steps of varying
- * length) and must agree bitwise on every placement decision, on
- * per-server cluster state at periodic deep checks, and on the
- * serialized snapshots at the end. A second tier runs whole
+ * Randomized lockstep property suite for the production schedulers
+ * (PlacementView + BlockMinGroup, DESIGN.md §14) against the scalar
+ * reference schedulers in tests/reference/scalar_schedulers.h. Two
+ * cluster+scheduler twins — one per implementation — receive an
+ * identical seeded stream of mutations (job churn, health flips with
+ * fault-style drains, per-server and global inlet shifts, thermal
+ * steps of varying length) and must agree bitwise on every placement
+ * decision, on per-server cluster state at periodic deep checks, and
+ * on the serialized snapshots at the end. A second tier runs whole
  * simulations (fault plan + migration budget, threads 1 and 4,
  * checkpoint/resume) and requires byte-identical SimResults.
  */
@@ -18,6 +19,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.h"
@@ -25,8 +27,8 @@
 #include "core/vmt_preserve.h"
 #include "core/vmt_ta.h"
 #include "core/vmt_wa.h"
+#include "reference/scalar_schedulers.h"
 #include "sched/coolest_first.h"
-#include "sched/placement_engine.h"
 #include "sched/round_robin.h"
 #include "sched/switchover.h"
 #include "sim/simulation.h"
@@ -38,19 +40,11 @@
 namespace vmt {
 namespace {
 
-/** Restores every process-wide knob the suite touches. */
+/** Restores the thread count the suite pins. */
 class KnobGuard
 {
   public:
-    KnobGuard() : engine_(globalPlacementEngine()) {}
-    ~KnobGuard()
-    {
-        setGlobalPlacementEngine(engine_);
-        setGlobalThreadCount(0);
-    }
-
-  private:
-    PlacementEngine engine_;
+    ~KnobGuard() { setGlobalThreadCount(0); }
 };
 
 constexpr std::size_t kServers = 48;
@@ -99,7 +93,7 @@ expectServersIdentical(const Cluster &a, const Cluster &b,
 /**
  * One randomized mutation applied identically to both twins. All
  * decisions are drawn from the shared Rng plus const reads of the
- * scalar twin (whose state the deep checks pin to the batched
+ * scalar twin (whose state the deep checks pin to the production
  * twin's). Placements themselves go through the schedulers below —
  * this stream only provides churn, thermal drift and health chaos.
  */
@@ -147,20 +141,17 @@ mutate(Rng &rng, Cluster &scalar, Cluster &batched)
     }
 }
 
-/** Scheduler twins built under opposite engines. */
-template <typename MakeSched>
+/** Scheduler twins: the scalar reference and the production
+ *  scheduler for the same policy. */
+template <typename Scalar, typename Batched>
 void
-runLockstep(MakeSched make, std::uint64_t seed,
-            std::size_t steps = kSteps)
+runLockstep(Scalar scalar_sched, Batched batched_sched,
+            std::uint64_t seed, std::size_t steps = kSteps)
 {
     KnobGuard guard;
     setGlobalThreadCount(1);
     Cluster scalar_cluster = makeCluster();
     Cluster batched_cluster = makeCluster();
-    setGlobalPlacementEngine(PlacementEngine::Scalar);
-    auto scalar_sched = make();
-    setGlobalPlacementEngine(PlacementEngine::Batched);
-    auto batched_sched = make();
 
     Rng rng(seed);
     const Seconds dts[3] = {30.0, 60.0, 300.0};
@@ -214,7 +205,7 @@ runLockstep(MakeSched make, std::uint64_t seed,
         }
     }
 
-    // Snapshots written under either engine are interchangeable.
+    // Snapshots written by either implementation are interchangeable.
     Serializer sa;
     Serializer sb;
     scalar_cluster.saveState(sa);
@@ -229,56 +220,47 @@ runLockstep(MakeSched make, std::uint64_t seed,
 
 TEST(PlacementLockstep, CoolestFirst)
 {
-    runLockstep([] { return CoolestFirstScheduler(); },
-                0xC001E57F1257ull);
+    runLockstep(reference::ScalarCoolestFirst(),
+                CoolestFirstScheduler(), 0xC001E57F1257ull);
 }
 
 TEST(PlacementLockstep, VmtTa)
 {
-    runLockstep(
-        [] {
-            return VmtTaScheduler(bench::studyVmt(22.0),
-                                  hotMaskFromPaper());
-        },
-        0x7A5EEDull);
+    const VmtConfig vmt = bench::studyVmt(22.0);
+    runLockstep(reference::ScalarVmtTa(vmt, hotMaskFromPaper()),
+                VmtTaScheduler(vmt, hotMaskFromPaper()), 0x7A5EEDull);
 }
 
 TEST(PlacementLockstep, VmtWa)
 {
-    runLockstep(
-        [] {
-            return VmtWaScheduler(bench::studyVmt(22.0),
-                                  hotMaskFromPaper());
-        },
-        0x3A5EEDull);
+    const VmtConfig vmt = bench::studyVmt(22.0);
+    runLockstep(reference::ScalarVmtWa(vmt, hotMaskFromPaper()),
+                VmtWaScheduler(vmt, hotMaskFromPaper()), 0x3A5EEDull);
 }
 
 TEST(PlacementLockstep, VmtPreserve)
 {
-    runLockstep(
-        [] {
-            return VmtPreserveScheduler(bench::studyVmt(22.0),
-                                        hotMaskFromPaper());
-        },
-        0x9E5EEDull);
+    const VmtConfig vmt = bench::studyVmt(22.0);
+    runLockstep(reference::ScalarVmtPreserve(vmt, hotMaskFromPaper()),
+                VmtPreserveScheduler(vmt, hotMaskFromPaper()),
+                0x9E5EEDull);
 }
 
 TEST(PlacementLockstep, AdaptiveVmt)
 {
     // The adaptive controller re-tunes GV from interval telemetry;
     // shorter run, same contract.
-    runLockstep(
-        [] {
-            return AdaptiveVmtScheduler(bench::studyVmt(22.0),
-                                        hotMaskFromPaper());
-        },
-        0xADA7EEDull, 1500);
+    const VmtConfig vmt = bench::studyVmt(22.0);
+    runLockstep(reference::ScalarAdaptiveVmt(vmt, hotMaskFromPaper()),
+                AdaptiveVmtScheduler(vmt, hotMaskFromPaper()),
+                0xADA7EEDull, 1500);
 }
 
 // ---------------------------------------------------------------------
-// Whole-simulation equivalence: the engines must agree through the
-// full driver — arrivals, departures, migrations, fault evacuation,
-// checkpoint/resume — at any thread count.
+// Whole-simulation equivalence: production and reference schedulers
+// must agree through the full driver — arrivals, departures,
+// migrations, fault evacuation, checkpoint/resume — at any thread
+// count.
 // ---------------------------------------------------------------------
 
 void
@@ -338,57 +320,57 @@ faultedRun(std::size_t servers, double hours)
     return config;
 }
 
+/** One policy, run through the full driver by its production
+ *  scheduler (`run`) and by its scalar reference (`reference`). */
 struct NamedPolicy
 {
     const char *name;
     std::function<SimResult(const SimConfig &)> run;
+    std::function<SimResult(const SimConfig &)> reference;
 };
+
+/** Run a default-constructible or VMT-configured scheduler. */
+template <typename Sched>
+SimResult
+runPolicy(const SimConfig &config)
+{
+    if constexpr (std::is_default_constructible_v<Sched>) {
+        Sched s;
+        return runSimulation(config, s);
+    } else {
+        Sched s(bench::studyVmt(22.0), hotMaskFromPaper());
+        return runSimulation(config, s);
+    }
+}
+
+/** Round robin until 0.1 h, then coolest first. */
+template <typename CoolestFirst>
+SimResult
+runSwitchover(const SimConfig &config)
+{
+    RoundRobinScheduler before;
+    CoolestFirst after;
+    SwitchoverScheduler s(before, after, 0.1 * kHour);
+    return runSimulation(config, s);
+}
 
 std::vector<NamedPolicy>
 allPolicies()
 {
+    using namespace reference;
     return {
-        {"rr",
-         [](const SimConfig &c) {
-             RoundRobinScheduler s;
-             return runSimulation(c, s);
-         }},
-        {"cf",
-         [](const SimConfig &c) {
-             CoolestFirstScheduler s;
-             return runSimulation(c, s);
-         }},
-        {"switchover",
-         [](const SimConfig &c) {
-             RoundRobinScheduler before;
-             CoolestFirstScheduler after;
-             SwitchoverScheduler s(before, after, 0.1 * kHour);
-             return runSimulation(c, s);
-         }},
-        {"ta",
-         [](const SimConfig &c) {
-             VmtTaScheduler s(bench::studyVmt(22.0),
-                              hotMaskFromPaper());
-             return runSimulation(c, s);
-         }},
-        {"wa",
-         [](const SimConfig &c) {
-             VmtWaScheduler s(bench::studyVmt(22.0),
-                              hotMaskFromPaper());
-             return runSimulation(c, s);
-         }},
-        {"preserve",
-         [](const SimConfig &c) {
-             VmtPreserveScheduler s(bench::studyVmt(22.0),
-                                    hotMaskFromPaper());
-             return runSimulation(c, s);
-         }},
-        {"adaptive",
-         [](const SimConfig &c) {
-             AdaptiveVmtScheduler s(bench::studyVmt(22.0),
-                                    hotMaskFromPaper());
-             return runSimulation(c, s);
-         }},
+        {"rr", runPolicy<RoundRobinScheduler>,
+         runPolicy<RoundRobinScheduler>},
+        {"cf", runPolicy<CoolestFirstScheduler>,
+         runPolicy<ScalarCoolestFirst>},
+        {"switchover", runSwitchover<CoolestFirstScheduler>,
+         runSwitchover<ScalarCoolestFirst>},
+        {"ta", runPolicy<VmtTaScheduler>, runPolicy<ScalarVmtTa>},
+        {"wa", runPolicy<VmtWaScheduler>, runPolicy<ScalarVmtWa>},
+        {"preserve", runPolicy<VmtPreserveScheduler>,
+         runPolicy<ScalarVmtPreserve>},
+        {"adaptive", runPolicy<AdaptiveVmtScheduler>,
+         runPolicy<ScalarAdaptiveVmt>},
     };
 }
 
@@ -397,14 +379,12 @@ TEST(PlacementSimEquivalence, EveryPolicyFaultedBothThreadCounts)
     KnobGuard guard;
     const SimConfig config = faultedRun(20, 0.2);
     for (const NamedPolicy &policy : allPolicies()) {
-        setGlobalPlacementEngine(PlacementEngine::Scalar);
         setGlobalThreadCount(1);
-        const SimResult reference = policy.run(config);
+        const SimResult reference = policy.reference(config);
         for (const std::size_t threads :
              {std::size_t{1}, std::size_t{4}}) {
             SCOPED_TRACE(std::string(policy.name) +
                          " threads=" + std::to_string(threads));
-            setGlobalPlacementEngine(PlacementEngine::Batched);
             setGlobalThreadCount(threads);
             expectResultsIdentical(reference, policy.run(config));
         }
@@ -419,30 +399,28 @@ TEST(PlacementSimEquivalence, CheckpointEngineDoesNotLeakIntoResume)
         testing::TempDir() + "vmt_placement_resume.snap";
     std::remove(path.c_str());
     const SimConfig config = faultedRun(20, 0.2);
+    const VmtConfig vmt = bench::studyVmt(22.0);
 
-    setGlobalPlacementEngine(PlacementEngine::Scalar);
-    VmtWaScheduler plain(bench::studyVmt(22.0), hotMaskFromPaper());
+    reference::ScalarVmtWa plain(vmt, hotMaskFromPaper());
     const SimResult reference = runSimulation(config, plain);
 
-    // Write the checkpoint from a scalar-engine run...
+    // Write the checkpoint from a scalar reference run...
     SimConfig saving = config;
     saving.checkpointHook = [&path](const SimState &state,
                                     std::size_t completed) {
         if (completed == 6)
             saveSnapshot(state, completed, path);
     };
-    VmtWaScheduler interrupted(bench::studyVmt(22.0),
-                               hotMaskFromPaper());
+    reference::ScalarVmtWa interrupted(vmt, hotMaskFromPaper());
     runSimulation(saving, interrupted);
 
-    // ...and resume under the batched engine: bitwise identical.
-    setGlobalPlacementEngine(PlacementEngine::Batched);
+    // ...and resume under the production scheduler: bitwise
+    // identical.
     SimConfig resuming = config;
     CheckpointOptions options;
     options.resumeFrom = path;
     attachCheckpointing(resuming, options);
-    VmtWaScheduler resumed(bench::studyVmt(22.0),
-                           hotMaskFromPaper());
+    VmtWaScheduler resumed(vmt, hotMaskFromPaper());
     expectResultsIdentical(reference,
                            runSimulation(resuming, resumed));
     std::remove(path.c_str());

@@ -3,15 +3,19 @@
  * The checkpoint/restore correctness bar: interrupting a run at any
  * interval and resuming from the snapshot must reproduce the
  * uninterrupted SimResult bitwise — every series sample and every
- * aggregate, under either PCM integrator and any thread count, and
- * regardless of which thread count wrote the checkpoint. Double
+ * aggregate, at any thread count, and regardless of which thread
+ * count wrote the checkpoint. Double
  * comparisons are deliberately exact (ASSERT_EQ, not ASSERT_NEAR).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,9 +23,11 @@
 #include "common.h"
 #include "core/vmt_wa.h"
 #include "sched/round_robin.h"
+#include "serve/job_feed.h"
+#include "serve/sharded_driver.h"
 #include "sim/simulation.h"
+#include "state/serializer.h"
 #include "state/sim_snapshot.h"
-#include "thermal/pcm.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -34,20 +40,6 @@ class ThreadCountGuard
   public:
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
 };
-
-/** Restores the process-wide PCM integrator when a test exits. */
-class IntegratorGuard
-{
-  public:
-    IntegratorGuard() : saved_(globalPcmIntegrator()) {}
-    ~IntegratorGuard() { setGlobalPcmIntegrator(saved_); }
-
-  private:
-    PcmIntegrator saved_;
-};
-
-constexpr PcmIntegrator kBothIntegrators[] = {PcmIntegrator::Closed,
-                                              PcmIntegrator::Substep};
 
 std::string
 tempSnapshotPath(const char *name)
@@ -174,43 +166,31 @@ expectResumeReproduces(const SimConfig &base, std::size_t at,
     std::remove(path.c_str());
 }
 
-TEST(ResumeEquivalence, Cluster100BothIntegratorsBothThreadCounts)
+TEST(ResumeEquivalence, Cluster100BothThreadCounts)
 {
     ThreadCountGuard guard;
-    IntegratorGuard integ_guard;
     const std::string path =
         tempSnapshotPath("vmt_resume_100.snap");
     const SimConfig config = shortRun(100, 2.0);
-    for (const PcmIntegrator integrator : kBothIntegrators) {
-        setGlobalPcmIntegrator(integrator);
-        for (const std::size_t threads : {std::size_t{1},
-                                          std::size_t{4}}) {
-            SCOPED_TRACE(std::string(pcmIntegratorName(integrator)) +
-                         " threads=" + std::to_string(threads));
-            setGlobalThreadCount(threads);
-            expectResumeReproduces(config, 45, path);
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setGlobalThreadCount(threads);
+        expectResumeReproduces(config, 45, path);
     }
 }
 
-TEST(ResumeEquivalence, Cluster1000BothIntegratorsBothThreadCounts)
+TEST(ResumeEquivalence, Cluster1000BothThreadCounts)
 {
     ThreadCountGuard guard;
-    IntegratorGuard integ_guard;
     const std::string path =
         tempSnapshotPath("vmt_resume_1000.snap");
     // 1,000 servers takes the chunked-parallel thermal path at
     // threads=4, so this covers checkpointing both execution paths.
     const SimConfig config = shortRun(1000, 1.0);
-    for (const PcmIntegrator integrator : kBothIntegrators) {
-        setGlobalPcmIntegrator(integrator);
-        for (const std::size_t threads : {std::size_t{1},
-                                          std::size_t{4}}) {
-            SCOPED_TRACE(std::string(pcmIntegratorName(integrator)) +
-                         " threads=" + std::to_string(threads));
-            setGlobalThreadCount(threads);
-            expectResumeReproduces(config, 20, path);
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setGlobalThreadCount(threads);
+        expectResumeReproduces(config, 20, path);
     }
 }
 
@@ -433,17 +413,144 @@ TEST(ResumeMismatch, DifferentSchedulerIsFatal)
     std::remove(path.c_str());
 }
 
+/**
+ * Overwrite the PCM-integrator byte of a snapshot file's `tag`
+ * section and re-seal that section's CRC, so the loader sees a
+ * well-formed file whose only difference is the byte. `skip` decodes
+ * the fields stored in front of it.
+ */
+void
+patchIntegratorByte(const std::string &path, const std::string &tag,
+                    std::uint8_t value,
+                    const std::function<void(Deserializer &)> &skip)
+{
+    std::vector<std::uint8_t> image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        image.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    // Container framing (snapshot.h): 8-byte magic, u32 version, u32
+    // count, then per section a 4-byte tag, u64 length, u32 CRC and
+    // the payload.
+    std::size_t pos = 16;
+    while (pos + 16 <= image.size()) {
+        std::uint64_t length;
+        std::memcpy(&length, image.data() + pos + 4, sizeof length);
+        std::uint8_t *payload = image.data() + pos + 16;
+        if (std::string(image.begin() + static_cast<long>(pos),
+                        image.begin() + static_cast<long>(pos) + 4) ==
+            tag) {
+            Deserializer fields(payload, length);
+            skip(fields);
+            payload[length - fields.remaining()] = value;
+            const std::uint32_t crc = crc32(payload, length);
+            std::memcpy(image.data() + pos + 12, &crc, sizeof crc);
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(image.data()),
+                      static_cast<std::streamsize>(image.size()));
+            return;
+        }
+        pos += 16 + length;
+    }
+    FAIL() << "no " << tag << " section in " << path;
+}
+
+/** The FatalError message `fn` throws, or empty if it returns. */
+std::string
+fatalMessage(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return {};
+}
+
+void
+skipBatchConfFields(Deserializer &conf)
+{
+    for (int k = 0; k < 4; ++k) // completed, run length, servers, seed
+        conf.getU64();
+    for (int k = 0; k < 6; ++k) // interval .. overheat temp
+        conf.getDouble();
+    conf.getSize(); // migration budget
+    conf.getSize(); // peak window
+    conf.getBool(); // recirculation
+    conf.getBool(); // heatmaps
+}
+
+void
+skipServeConfFields(Deserializer &conf)
+{
+    for (int k = 0; k < 3; ++k) // completed, servers, pod size
+        conf.getSize();
+    conf.getDouble(); // interval
+    conf.getU64();    // seed
+    conf.getDouble(); // power scale
+    conf.getDouble(); // overheat temp
+    conf.getSize();   // queue capacity
+    conf.getSize();   // admission budget
+    conf.getU8();     // admission policy
+    conf.getString(); // scheduler
+    conf.getDouble(); // grouping value
+    conf.getDouble(); // wax threshold
+}
+
+/**
+ * Snapshot format v2 keeps one PCM-integrator byte in the batch CONF
+ * and serving SCON sections. Writers always store 0 (closed form);
+ * 1 named the removed sub-stepped integrator and must be refused by
+ * name, and any other value is refused as invalid — in batch
+ * snapshots and in vmtserve checkpoints alike.
+ */
 TEST(ResumeMismatch, DifferentIntegratorIsFatal)
 {
-    IntegratorGuard integ_guard;
-    setGlobalPcmIntegrator(PcmIntegrator::Closed);
-    const std::string path =
-        writeReferenceSnapshot("vmt_mismatch_integ.snap");
-    setGlobalPcmIntegrator(PcmIntegrator::Substep);
-    const SimConfig config = shortRun(20, 0.2);
-    VmtWaScheduler sched = waScheduler();
-    EXPECT_THROW(tryResume(config, sched, path), FatalError);
-    std::remove(path.c_str());
+    const struct
+    {
+        std::uint8_t byte;
+        const char *named;
+    } cases[] = {{1, "sub-stepped integrator, which has been removed"},
+                 {0xFF, "invalid byte 255"}};
+
+    for (const auto &c : cases) {
+        SCOPED_TRACE("byte " + std::to_string(c.byte));
+        const std::string path =
+            writeReferenceSnapshot("vmt_mismatch_integ.snap");
+        patchIntegratorByte(path, "CONF", c.byte, skipBatchConfFields);
+        const SimConfig config = shortRun(20, 0.2);
+        VmtWaScheduler sched = waScheduler();
+        EXPECT_NE(fatalMessage([&] { tryResume(config, sched, path); })
+                      .find(c.named),
+                  std::string::npos);
+        std::remove(path.c_str());
+    }
+
+    for (const auto &c : cases) {
+        SCOPED_TRACE("serve byte " + std::to_string(c.byte));
+        const std::string ckpt =
+            tempSnapshotPath("vmt_mismatch_integ_serve.ckpt");
+        serve::ServeConfig config;
+        config.numServers = 24;
+        config.podSize = 7;
+        config.maxIntervals = 4;
+        config.checkpointEvery = 2;
+        config.checkpointPath = ckpt;
+        serve::SyntheticFeedParams feed_params;
+        feed_params.users = 14400.0;
+        {
+            serve::SyntheticFeed feed(feed_params);
+            serve::ShardedDriver(config).run(feed);
+        }
+        patchIntegratorByte(ckpt, "SCON", c.byte, skipServeConfFields);
+        config.resumeFrom = ckpt;
+        serve::SyntheticFeed feed(feed_params);
+        serve::ShardedDriver resumed(config);
+        EXPECT_NE(fatalMessage([&] { resumed.run(feed); }).find(c.named),
+                  std::string::npos);
+        std::remove(ckpt.c_str());
+        std::remove((ckpt + ".prev").c_str());
+    }
 }
 
 TEST(ResumeMismatch, ShorterRunThanCompletedIntervalsIsFatal)

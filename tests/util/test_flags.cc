@@ -80,6 +80,15 @@ TEST(Flags, UnreadFlagsDetected)
               (std::vector<std::string>{"typo"}));
 }
 
+TEST(Flags, UnknownFlagsCheckedAgainstAKnownSet)
+{
+    // Decided from the names alone, before any accessor runs.
+    const Flags f = parse({"--zeta=1", "--used=2", "--alpha"});
+    EXPECT_EQ(f.unknownFlags({"used"}),
+              (std::vector<std::string>{"alpha", "zeta"}));
+    EXPECT_TRUE(f.unknownFlags({"alpha", "used", "zeta"}).empty());
+}
+
 TEST(Flags, EmptyFlagNameIsFatal)
 {
     EXPECT_THROW(parse({"--=5"}), FatalError);

@@ -16,20 +16,10 @@
  *   --seed X             run seed                   (default 7)
  *   --threads N          worker threads; 0 = auto from VMT_THREADS
  *                        or hardware concurrency    (default 0)
- *   --pcm-integrator I   closed | substep PCM integration; default
- *                        from VMT_PCM_INTEGRATOR, else closed
- *   --thermal-kernel K   soa | scalar interval kernel (bitwise
- *                        identical; scalar is the per-object
- *                        reference); default from VMT_THERMAL_KERNEL,
- *                        else soa
  *   --thermal-parallel-threshold N
  *                        cluster size at which stepThermal fans out
  *                        on the thread pool; default from
  *                        VMT_THERMAL_PARALLEL_THRESHOLD, else 256
- *   --placement-engine E batched | scalar scheduler hot path
- *                        (decision-identical; scalar is the
- *                        per-object reference); default from
- *                        VMT_PLACEMENT_ENGINE, else batched
  *   --inlet-stddev S     inlet variation sigma in K (default 0)
  *   --cooling-capacity W cooling plant capacity in watts (0 = inf)
  *   --trace FILE         load utilization trace CSV (hour,utilization)
@@ -67,8 +57,12 @@
  *                        run with the same configuration (default
  *                        from VMT_CHECKPOINT_RESUME)
  *
- * sweep flags: --policy, --gv-from, --gv-to, --gv-step
- * trace flags: --out FILE
+ * compare flags: --gv, --threshold
+ * sweep flags: --policy, --gv-from, --gv-to, --gv-step, --threshold
+ * tune flags: --policy, --gv-from, --gv-to, --tolerance
+ * trace flags: --out FILE, --analyze, --trace FILE, --hours, --seed
+ *
+ * Any other flag is rejected (exit 2) before the command runs.
  *
  * Examples:
  *   vmtsim compare --servers 1000
@@ -77,18 +71,19 @@
  */
 
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "core/policy_factory.h"
 #include "core/gv_tuner.h"
 #include "obs/observability.h"
-#include "sched/placement_engine.h"
 #include "sched/round_robin.h"
 #include "sim/result_io.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
-#include "thermal/pcm.h"
 #include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -347,6 +342,44 @@ cmdTrace(const Flags &flags)
     return 0;
 }
 
+/**
+ * Every flag `command` reads, or an empty set for an unknown command:
+ * main() rejects anything else before the command does any work.
+ * Each command reads exactly its own set (plus the process-wide and
+ * export flags main() reads for all of them).
+ */
+std::set<std::string>
+knownFlags(const std::string &command)
+{
+    std::set<std::string> known = {"threads",
+                                   "thermal-parallel-threshold",
+                                   "metrics-out", "trace-events"};
+    const auto add =
+        [&known](std::initializer_list<const char *> names) {
+            known.insert(names.begin(), names.end());
+        };
+    if (command == "trace") {
+        add({"analyze", "trace", "out", "hours", "seed"});
+        return known;
+    }
+    // configFromFlags.
+    add({"servers", "hours", "seed", "inlet-stddev", "cooling-capacity",
+         "trace", "fault-plan", "fault-seed", "fault-mtbf",
+         "fault-repair", "critical-temp"});
+    if (command == "run")
+        add({"heatmaps", "out", "checkpoint-every", "checkpoint-path",
+             "resume-from", "policy", "gv", "threshold"});
+    else if (command == "compare")
+        add({"gv", "threshold"});
+    else if (command == "sweep")
+        add({"policy", "gv-from", "gv-to", "gv-step", "threshold"});
+    else if (command == "tune")
+        add({"policy", "gv-from", "gv-to", "tolerance"});
+    else
+        return {};
+    return known;
+}
+
 int
 usage()
 {
@@ -368,21 +401,23 @@ main(int argc, char **argv)
     if (flags.positional().empty())
         return usage();
     const std::string command = flags.positional().front();
+    const std::set<std::string> known = knownFlags(command);
+    if (known.empty())
+        return usage();
+    const auto unknown = flags.unknownFlags(known);
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "vmtsim: unknown flag(s):");
+        for (const std::string &name : unknown)
+            std::fprintf(stderr, " --%s", name.c_str());
+        std::fprintf(stderr, "\n");
+        return 2;
+    }
 
     try {
         const long long threads = flags.getInt("threads", 0);
         if (threads < 0)
             fatal("vmtsim: --threads must be >= 0 (0 = auto)");
         setGlobalThreadCount(static_cast<std::size_t>(threads));
-        if (flags.has("pcm-integrator"))
-            setGlobalPcmIntegrator(pcmIntegratorFromString(
-                flags.getString("pcm-integrator")));
-        if (flags.has("thermal-kernel"))
-            setGlobalThermalKernel(thermalKernelFromString(
-                flags.getString("thermal-kernel")));
-        if (flags.has("placement-engine"))
-            setGlobalPlacementEngine(placementEngineFromString(
-                flags.getString("placement-engine")));
         if (flags.has("thermal-parallel-threshold")) {
             const long long threshold =
                 flags.getInt("thermal-parallel-threshold", 0);
@@ -402,10 +437,8 @@ main(int argc, char **argv)
             rc = cmdSweep(flags);
         else if (command == "tune")
             rc = cmdTune(flags);
-        else if (command == "trace")
-            rc = cmdTrace(flags);
         else
-            return usage();
+            rc = cmdTrace(flags);
 
         const obs::ObsOptions obs_opts = obsOptionsFromFlags(flags);
         if (!obs_opts.metricsOut.empty()) {
@@ -419,15 +452,6 @@ main(int argc, char **argv)
                 obs_opts.traceEvents);
             std::printf("events written    %s\n",
                         obs_opts.traceEvents.c_str());
-        }
-
-        const auto unread = flags.unreadFlags();
-        if (!unread.empty()) {
-            std::fprintf(stderr, "vmtsim: unknown flag(s):");
-            for (const std::string &name : unread)
-                std::fprintf(stderr, " --%s", name.c_str());
-            std::fprintf(stderr, "\n");
-            return 2;
         }
         return rc;
     } catch (const FatalError &err) {
