@@ -27,6 +27,30 @@ VMTSERVE="$BUILD_DIR/tools/vmtserve"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/vmt-serve-soak.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
+# pace_until PID CHECK...: hold the background run PID stopped and
+# let it advance in 2-ms SIGCONT/SIGSTOP bursts until the command
+# CHECK succeeds, so the signal sent next lands mid-run however fast
+# the host runs an interval (a 100-server interval takes about a
+# millisecond, so a free-running process outruns a sleep-based poll
+# of its telemetry). Leaves PID stopped; fails if it exits first.
+pace_until() {
+    local pid=$1
+    shift
+    kill -STOP "$pid" 2>/dev/null || return 1
+    for _ in $(seq 1 5000); do
+        "$@" && return 0
+        kill -CONT "$pid" 2>/dev/null || return 1
+        sleep 0.002
+        kill -STOP "$pid" 2>/dev/null || return 1
+    done
+    return 1
+}
+
+# lines_at_least FILE N: FILE holds at least N complete lines.
+lines_at_least() {
+    [[ -f "$1" ]] && (($(wc -l <"$1") >= $2))
+}
+
 # A small fleet under heavy bursty load: bursts every 10 minutes,
 # 3x for 3 minutes, so both the admission queue and the burst path
 # are exercised inside the hour.
@@ -50,16 +74,12 @@ PID=$!
 # Wait until the run is well underway, then ask it to stop. The
 # driver drains to a final checkpoint at the interval boundary, so
 # telemetry and snapshot stay in sync.
-for _ in $(seq 1 300); do
-    [[ -f "$WORK/leg1.jsonl" ]] &&
-        (($(wc -l <"$WORK/leg1.jsonl") >= 20)) && break
-    kill -0 "$PID" 2>/dev/null || {
-        echo "serve_soak: leg 1 exited before the kill" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+pace_until "$PID" lines_at_least "$WORK/leg1.jsonl" 20 || {
+    echo "serve_soak: leg 1 exited before the kill" >&2
+    exit 1
+}
 kill -INT "$PID"
+kill -CONT "$PID"
 wait "$PID" || {
     echo "serve_soak: leg 1 did not exit cleanly after SIGINT" >&2
     exit 1
@@ -178,15 +198,14 @@ echo "serve_soak: chaos leg 1 (SIGKILL mid-run, no drain)"
 PID=$!
 # Let it get past the outage (interval 15) and at least two
 # checkpoint generations (so .prev exists), then hard-kill it.
-for _ in $(seq 1 300); do
-    [[ -f "$WORK/chaos.ckpt.prev" && -f "$WORK/chaos1.jsonl" ]] &&
-        (($(wc -l <"$WORK/chaos1.jsonl") >= 22)) && break
-    kill -0 "$PID" 2>/dev/null || {
-        echo "serve_soak: chaos leg 1 exited before the kill" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+chaos_underway() {
+    [[ -f "$WORK/chaos.ckpt.prev" ]] &&
+        lines_at_least "$WORK/chaos1.jsonl" 22
+}
+pace_until "$PID" chaos_underway || {
+    echo "serve_soak: chaos leg 1 exited before the kill" >&2
+    exit 1
+}
 kill -KILL "$PID"
 wait "$PID" 2>/dev/null && {
     echo "serve_soak: chaos leg 1 survived SIGKILL?" >&2

@@ -11,31 +11,20 @@ IngressQueue::IngressQueue(std::size_t capacity) : ring_(capacity)
         fatal("IngressQueue requires a positive capacity");
 }
 
-bool
-IngressQueue::push(const FeedJob &job)
+std::size_t
+IngressQueue::push(std::span<const FeedJob> jobs)
 {
-    if (count_ == ring_.size())
-        return false;
-    ring_[(head_ + count_) % ring_.size()] = job;
-    ++count_;
-    return true;
-}
-
-const FeedJob &
-IngressQueue::front() const
-{
-    if (count_ == 0)
-        panic("IngressQueue::front on empty queue");
-    return ring_[head_];
-}
-
-void
-IngressQueue::pop()
-{
-    if (count_ == 0)
-        panic("IngressQueue::pop on empty queue");
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
+    const std::size_t accepted =
+        std::min(jobs.size(), ring_.size() - count_);
+    std::size_t tail = head_ + count_;
+    if (tail >= ring_.size())
+        tail -= ring_.size();
+    // The free space starts at the tail and wraps at most once.
+    const std::size_t first = std::min(accepted, ring_.size() - tail);
+    std::copy_n(jobs.begin(), first, ring_.begin() + tail);
+    std::copy_n(jobs.begin() + first, accepted - first, ring_.begin());
+    count_ += accepted;
+    return accepted;
 }
 
 std::size_t
@@ -52,12 +41,8 @@ IngressQueue::saveState(Serializer &out) const
 {
     out.putSize(ring_.size());
     out.putSize(count_);
-    for (std::size_t i = 0; i < count_; ++i) {
-        const FeedJob &job = ring_[(head_ + i) % ring_.size()];
-        out.putDouble(job.time);
-        out.putU8(static_cast<std::uint8_t>(job.type));
-        out.putDouble(job.duration);
-    }
+    for (std::size_t i = 0; i < count_; ++i)
+        saveFeedJob(out, ring_[(head_ + i) % ring_.size()]);
 }
 
 void
@@ -74,15 +59,10 @@ IngressQueue::loadState(Deserializer &in)
     const std::size_t pending = in.getSize();
     if (pending > capacity)
         fatal("serve snapshot ingress depth exceeds its capacity");
+    for (std::size_t i = 0; i < pending; ++i)
+        ring_[i] = loadFeedJob(in, "ingress entry " + std::to_string(i));
     head_ = 0;
     count_ = pending;
-    for (std::size_t i = 0; i < pending; ++i) {
-        FeedJob job;
-        job.time = in.getDouble();
-        job.type = static_cast<WorkloadType>(in.getU8());
-        job.duration = in.getDouble();
-        ring_[i] = job;
-    }
 }
 
 } // namespace vmt::serve

@@ -35,6 +35,17 @@ checkFeedDouble(const char *what, double snap, double now)
               ")");
 }
 
+/** A snapshot time or duration must be finite and non-negative. */
+void
+checkSnapshotSeconds(const std::string &what, const char *field,
+                     double value)
+{
+    if (!std::isfinite(value) || value < 0.0)
+        fatal("serve snapshot " + what + " has an invalid " + field +
+              " (" + std::to_string(value) +
+              "; need a finite non-negative number)");
+}
+
 void
 saveRng(Serializer &out, const Rng &rng)
 {
@@ -57,6 +68,30 @@ loadRng(Deserializer &in, Rng &rng)
 }
 
 } // namespace
+
+void
+saveFeedJob(Serializer &out, const FeedJob &job)
+{
+    out.putDouble(job.time);
+    out.putU8(static_cast<std::uint8_t>(job.type));
+    out.putDouble(job.duration);
+}
+
+FeedJob
+loadFeedJob(Deserializer &in, const std::string &what)
+{
+    FeedJob job;
+    job.time = in.getDouble();
+    checkSnapshotSeconds(what, "arrival time", job.time);
+    const std::uint8_t type = in.getU8();
+    if (type >= kNumWorkloads)
+        fatal("serve snapshot " + what +
+              " has an invalid workload type " + std::to_string(type));
+    job.type = static_cast<WorkloadType>(type);
+    job.duration = in.getDouble();
+    checkSnapshotSeconds(what, "duration", job.duration);
+    return job;
+}
 
 SyntheticFeed::SyntheticFeed(const SyntheticFeedParams &params)
     : params_(params), rng_(params.seed)
@@ -174,11 +209,8 @@ SyntheticFeed::saveState(Serializer &out) const
     saveRng(out, rng_);
     out.putDouble(candidateTime_);
     out.putBool(pending_.has_value());
-    if (pending_) {
-        out.putDouble(pending_->time);
-        out.putU8(static_cast<std::uint8_t>(pending_->type));
-        out.putDouble(pending_->duration);
-    }
+    if (pending_)
+        saveFeedJob(out, *pending_);
     out.putU64(emitted_);
 }
 
@@ -204,13 +236,8 @@ SyntheticFeed::loadState(Deserializer &in)
     loadRng(in, rng_);
     candidateTime_ = in.getDouble();
     pending_.reset();
-    if (in.getBool()) {
-        FeedJob job;
-        job.time = in.getDouble();
-        job.type = static_cast<WorkloadType>(in.getU8());
-        job.duration = in.getDouble();
-        pending_ = job;
-    }
+    if (in.getBool())
+        pending_ = loadFeedJob(in, "feed pending arrival");
     emitted_ = in.getU64();
 }
 

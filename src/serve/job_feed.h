@@ -53,6 +53,18 @@ struct FeedJob
     Seconds duration = 0.0;
 };
 
+/** Append a FeedJob as (time, workload byte, duration) — the entry
+ *  layout of the INGR ring and of a feed's pending arrival. */
+void saveFeedJob(Serializer &out, const FeedJob &job);
+
+/**
+ * Read a FeedJob written by saveFeedJob. @throws FatalError naming
+ * @p what ("serve snapshot <what> has ...") on an unknown workload
+ * byte, or a time or duration that is not a finite non-negative
+ * number.
+ */
+FeedJob loadFeedJob(Deserializer &in, const std::string &what);
+
 /** Open-ended, time-ordered arrival stream. */
 class JobFeed
 {

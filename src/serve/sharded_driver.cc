@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
-#include <queue>
 #include <span>
 #include <utility>
 
@@ -46,26 +46,6 @@ checkDouble(const char *what, double snap, double now)
                  std::to_string(now));
 }
 
-/** Deterministic waterfill order: most free cores first, ties to the
- *  lowest shard id. */
-struct MoreFree
-{
-    bool operator()(const std::pair<std::size_t, std::size_t> &a,
-                    const std::pair<std::size_t, std::size_t> &b)
-        const
-    {
-        if (a.first != b.first)
-            return a.first < b.first;
-        return a.second > b.second;
-    }
-};
-
-using WaterfillHeap =
-    std::priority_queue<std::pair<std::size_t, std::size_t>,
-                        std::vector<
-                            std::pair<std::size_t, std::size_t>>,
-                        MoreFree>;
-
 /**
  * The serving driver's metric/phase handles, resolved once per run.
  * Everything under `serve.` is deterministic; the placement-latency
@@ -75,6 +55,8 @@ using WaterfillHeap =
 struct ServeObs
 {
     obs::PhaseId phaseDepartures;
+    obs::PhaseId phaseEvacuate;
+    obs::PhaseId phaseAdmit;
     obs::PhaseId phasePlace;
     obs::PhaseId phaseThermal;
     obs::PhaseId phaseCheckpoint;
@@ -114,6 +96,7 @@ struct ServeObs
     {
         obs::PhaseProfiler &prof = o.profiler();
         phaseDepartures = prof.phase("serve.departures");
+        phaseAdmit = prof.phase("serve.admit");
         phasePlace = prof.phase("serve.place");
         phaseThermal = prof.phase("serve.thermal");
         phaseCheckpoint = prof.phase("serve.checkpoint");
@@ -165,6 +148,7 @@ struct ServeObs
 
     void registerDegraded(obs::Observability &o)
     {
+        phaseEvacuate = o.profiler().phase("serve.evacuate");
         obs::MetricsRegistry &m = o.metrics();
         evacuated =
             m.counter("serve.evacuated_total",
@@ -431,39 +415,31 @@ ShardedDriver::evacuateRefugees()
     for (std::size_t round = 0;
          round <= config_.evacRetries && !types.empty(); ++round) {
         // Waterfill the refugees over the surviving capacity
-        // estimates. Estimates are never re-credited after a failed
-        // placement, so the retry loop cannot ping-pong a job
-        // between two shards that both refuse it.
+        // estimates and debit what each shard took. Estimates are
+        // never re-credited after a failed placement, so the retry
+        // loop cannot ping-pong a job between two shards that both
+        // refuse it.
         for (Shard &shard : shards_) {
             shard.evacBatch.clear();
             shard.evacDue.clear();
         }
-        WaterfillHeap heap;
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            heap.push({freeEst_[s], s});
-        nextTypes.clear();
-        nextDues.clear();
-        std::size_t assigned = 0;
-        for (std::size_t k = 0; k < types.size(); ++k) {
-            const auto [free, s] = heap.top();
-            if (free == 0) {
-                // Every shard is out of estimated capacity; the
-                // rest of this round's refugees have nowhere to go.
-                for (std::size_t j = k; j < types.size(); ++j) {
-                    nextTypes.push_back(types[j]);
-                    nextDues.push_back(dues[j]);
-                }
-                break;
-            }
-            heap.pop();
-            shards_[s].evacBatch.push_back(Job{0, types[k], 0.0});
-            shards_[s].evacDue.push_back(dues[k]);
-            freeEst_[s] = free - 1;
-            heap.push({free - 1, s});
-            ++assigned;
-        }
+        std::size_t k = 0;
+        const std::size_t assigned =
+            waterfill_.route(freeEst_, types.size(), [&](std::size_t s) {
+                shards_[s].evacBatch.push_back(Job{0, types[k], 0.0});
+                shards_[s].evacDue.push_back(dues[k]);
+                ++k;
+            });
         if (assigned == 0)
             break;
+        const std::span<const std::size_t> debit = waterfill_.debit();
+        for (std::size_t s = 0; s < shards_.size(); ++s)
+            freeEst_[s] -= debit[s];
+        // Every shard is out of estimated capacity past the routed
+        // prefix; the rest of this round's refugees retry next round.
+        const auto first_unrouted = static_cast<std::ptrdiff_t>(assigned);
+        nextTypes.assign(types.begin() + first_unrouted, types.end());
+        nextDues.assign(dues.begin() + first_unrouted, dues.end());
 
         parallelFor(pool, 0, shards_.size(), 1,
                     [&](std::size_t begin, std::size_t end) {
@@ -518,7 +494,7 @@ ShardedDriver::placeBatch(Shard &shard, Seconds now)
 }
 
 std::size_t
-ShardedDriver::routeToShards(const std::vector<FeedJob> &admitted)
+ShardedDriver::routeToShards(std::span<const FeedJob> admitted)
 {
     // Each job goes to the shard with the most free cores at that
     // moment (ties: lowest shard id) — a deterministic waterfill that
@@ -526,27 +502,83 @@ ShardedDriver::routeToShards(const std::vector<FeedJob> &admitted)
     // artificially full pod while another idles. Degraded runs use
     // the post-evacuation schedulable-free estimates instead of the
     // raw core balance, which would count failed servers' cores.
-    WaterfillHeap heap;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (degraded_) {
-            heap.push({freeEst_[s], s});
-            continue;
+    if (!degraded_) {
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            const Cluster &cluster = shards_[s].cluster;
+            freeEst_[s] = cluster.totalCores() - cluster.busyCores();
         }
-        const Cluster &cluster = shards_[s].cluster;
-        heap.push({cluster.totalCores() - cluster.busyCores(), s});
     }
-    std::size_t routed = 0;
-    for (const FeedJob &job : admitted) {
-        const auto [free, s] = heap.top();
-        if (free == 0)
-            break; // Fleet is full; the rest re-queues or sheds.
-        heap.pop();
-        shards_[s].batch.push_back(
-            Job{nextJobId_++, job.type, job.duration});
-        heap.push({free - 1, s});
-        ++routed;
+    // The routed prefix keeps feed order; past it the fleet is full
+    // and the rest re-queues or sheds.
+    std::size_t k = 0;
+    return waterfill_.route(freeEst_, admitted.size(),
+                            [&](std::size_t s) {
+                                const FeedJob &job = admitted[k++];
+                                shards_[s].batch.push_back(
+                                    Job{nextJobId_++, job.type,
+                                        job.duration});
+                            });
+}
+
+void
+ShardedDriver::admit(Seconds now)
+{
+    // Pop at most the budget's worth of queued arrivals, route them
+    // over free cores; what the fleet cannot hold re-queues (queue
+    // policy) or sheds. Under the shed policy backlog never carries
+    // across intervals.
+    admitBuf_.clear();
+    if (!degraded_) {
+        const std::size_t budget = config_.admissionBudget > 0
+                                       ? config_.admissionBudget
+                                       : ingress_.size();
+        ingress_.consume([&](std::span<const FeedJob> run) {
+            const std::size_t take =
+                std::min(run.size(), budget - admitBuf_.size());
+            admitBuf_.insert(admitBuf_.end(), run.begin(),
+                             run.begin() +
+                                 static_cast<std::ptrdiff_t>(take));
+            return take;
+        });
+    } else {
+        // Brownout steps the effective budget down before the pop;
+        // the queue-age deadline sheds stale arrivals at the pop (the
+        // ring is not time-sorted once re-queues happen, so only a
+        // per-job check catches every stale entry) without charging
+        // them against the budget.
+        std::size_t budget = config_.admissionBudget;
+        if (brownout_) {
+            budget = brownout_->effectiveBudget(config_.admissionBudget,
+                                                totalCores_);
+            if (brownout_->level() > 0)
+                ++brownoutIntervals_;
+        }
+        const bool deadline = config_.maxQueueAge > 0.0;
+        const Seconds cutoff = now - config_.maxQueueAge;
+        ingress_.consume([&](std::span<const FeedJob> run) {
+            std::size_t k = 0;
+            for (; k < run.size() &&
+                   (budget == 0 || admitBuf_.size() < budget);
+                 ++k) {
+                if (deadline && run[k].time < cutoff)
+                    ++expired_;
+                else
+                    admitBuf_.push_back(run[k]);
+            }
+            return k;
+        });
     }
-    return routed;
+    const std::size_t routed = routeToShards(admitBuf_);
+    admitted_ += routed;
+    const std::size_t unrouted = admitBuf_.size() - routed;
+    if (config_.admit == AdmitPolicy::Queue) {
+        const std::size_t back = ingress_.push(
+            std::span<const FeedJob>(admitBuf_).subspan(routed));
+        requeued_ += back;
+        shed_ += unrouted - back;
+    } else {
+        shed_ += unrouted + ingress_.clear();
+    }
 }
 
 ServeResult
@@ -688,72 +720,24 @@ ShardedDriver::run(JobFeed &feed,
         // mode): waterfill refugees over surviving capacity, place
         // in parallel batches, retry the failures a bounded number
         // of rounds, shed the rest.
-        if (degraded_)
+        if (degraded_) {
+            obs::ScopedPhase timer(prof, sobs.phaseEvacuate);
             evacuateRefugees();
+        }
 
         // 2. Ingest the feed's arrivals due before the next boundary
         // into the bounded ring; overflow is shed, not queued.
+        // 3. Admission and routing (admit()).
         feedBuf_.clear();
         feed.arrivalsUntil(now + dt, feedBuf_);
-        for (const FeedJob &job : feedBuf_) {
-            ++arrivals_;
-            if (!ingress_.push(job))
-                ++shed_;
+        {
+            obs::ScopedPhase timer(prof, sobs.phaseAdmit);
+            arrivals_ += feedBuf_.size();
+            shed_ += feedBuf_.size() - ingress_.push(feedBuf_);
+            peakQueueDepth_ =
+                std::max(peakQueueDepth_, ingress_.size());
+            admit(now);
         }
-        peakQueueDepth_ = std::max(peakQueueDepth_, ingress_.size());
-
-        // 3. Admission: pop at most the budget's worth of queued
-        // arrivals, route them over free cores; what the fleet cannot
-        // hold re-queues (queue policy) or sheds. Under the shed
-        // policy backlog never carries across intervals.
-        admitBuf_.clear();
-        if (!degraded_) {
-            const std::size_t budget =
-                config_.admissionBudget > 0
-                    ? std::min(config_.admissionBudget,
-                               ingress_.size())
-                    : ingress_.size();
-            for (std::size_t i = 0; i < budget; ++i) {
-                admitBuf_.push_back(ingress_.front());
-                ingress_.pop();
-            }
-        } else {
-            // Brownout steps the effective budget down before the
-            // pop; the queue-age deadline sheds stale arrivals at
-            // the pop (the ring is not time-sorted once re-queues
-            // happen, so only a per-pop check catches every stale
-            // entry) without charging them against the budget.
-            std::size_t budget = config_.admissionBudget;
-            if (brownout_) {
-                budget = brownout_->effectiveBudget(
-                    config_.admissionBudget, totalCores_);
-                if (brownout_->level() > 0)
-                    ++brownoutIntervals_;
-            }
-            const bool deadline = config_.maxQueueAge > 0.0;
-            const Seconds cutoff = now - config_.maxQueueAge;
-            while (!ingress_.empty() &&
-                   (budget == 0 || admitBuf_.size() < budget)) {
-                const FeedJob job = ingress_.front();
-                ingress_.pop();
-                if (deadline && job.time < cutoff) {
-                    ++expired_;
-                    continue;
-                }
-                admitBuf_.push_back(job);
-            }
-        }
-        const std::size_t routed = routeToShards(admitBuf_);
-        admitted_ += routed;
-        for (std::size_t i = routed; i < admitBuf_.size(); ++i) {
-            if (config_.admit == AdmitPolicy::Queue &&
-                ingress_.push(admitBuf_[i]))
-                ++requeued_;
-            else
-                ++shed_;
-        }
-        if (config_.admit == AdmitPolicy::Shed)
-            shed_ += ingress_.clear();
 
         // 4. Per-shard policy refresh + batched placement.
         const auto place_start =
@@ -1292,6 +1276,12 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
         shard.slotDue.assign(shard.slots.size(), 0.0);
         for (std::size_t i = 0; i < pending; ++i) {
             const Seconds time = shrd.getDouble();
+            // IntervalQueue buckets a time by converting it to an
+            // integer; NaN or infinity would make that undefined.
+            if (!std::isfinite(time) || time < 0.0)
+                fatal("serve snapshot departure time " +
+                      std::to_string(time) +
+                      " is not a finite non-negative number");
             const std::uint32_t slot = shrd.getU32();
             if (slot >= shard.slots.size())
                 fatal("serve snapshot departure references an "

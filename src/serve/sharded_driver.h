@@ -17,11 +17,12 @@
  *  3. the feed's arrivals due before the next boundary enter the
  *     bounded ingress ring (overflow is shed and accounted);
  *  4. the admission budget's worth of queued arrivals is admitted and
- *     routed to shards by a deterministic waterfill over free cores —
- *     arrivals beyond the fleet's free capacity are re-queued (queue
- *     policy) or shed (shed policy). Under a thermal brownout the
- *     effective budget steps down before the admission pop, and a
- *     configured queue-age deadline sheds stale arrivals at the pop;
+ *     routed to shards by a deterministic waterfill over free cores
+ *     (serve/waterfill.h, closed form, O(1) per job) — arrivals
+ *     beyond the fleet's free capacity are re-queued (queue policy)
+ *     or shed (shed policy). Under a thermal brownout the effective
+ *     budget steps down before the admission pop, and a configured
+ *     queue-age deadline sheds stale arrivals at the pop;
  *  5. every shard refreshes its policy state and batch-places its
  *     routed jobs through Scheduler::placeJobs (the PR-7 batched
  *     placement hot path), again fanned out per shard;
@@ -49,6 +50,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,7 @@
 #include "serve/brownout.h"
 #include "serve/ingress_queue.h"
 #include "serve/job_feed.h"
+#include "serve/waterfill.h"
 #include "server/cluster.h"
 #include "server/server_spec.h"
 #include "sim/interval_queue.h"
@@ -356,9 +359,13 @@ class ShardedDriver
     /** beginInterval (clean mode only — faultPhase already ran it in
      *  degraded mode) + batch placement + slot bookkeeping. */
     void placeBatch(Shard &shard, Seconds now);
+    /** Admission: pop the (brownout-stepped) budget's worth of queued
+     *  arrivals, expire stale ones, route the rest and re-queue or
+     *  shed what the fleet cannot hold. */
+    void admit(Seconds now);
     /** Deterministic waterfill of @p admitted over shard free cores;
      *  returns the number routed (prefix of @p admitted). */
-    std::size_t routeToShards(const std::vector<FeedJob> &admitted);
+    std::size_t routeToShards(std::span<const FeedJob> admitted);
     /** Allocate a slot for a placed job and schedule its departure. */
     void bindJob(Shard &shard, std::size_t server, WorkloadType type,
                  Seconds due);
@@ -408,9 +415,12 @@ class ShardedDriver
     /** Reused per-interval buffers. */
     std::vector<FeedJob> feedBuf_;
     std::vector<FeedJob> admitBuf_;
-    /** Post-evacuation free-capacity estimates per shard, consumed
-     *  by the degraded-mode admission waterfill. */
+    /** Per-shard routing capacity for the admission waterfill: the
+     *  post-evacuation free-capacity estimates in degraded mode, the
+     *  free cores otherwise. */
     std::vector<std::size_t> freeEst_;
+    /** The router for admissions and refugee rounds. */
+    Waterfill waterfill_;
     bool ran_ = false;
 };
 

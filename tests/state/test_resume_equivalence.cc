@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -414,15 +415,13 @@ TEST(ResumeMismatch, DifferentSchedulerIsFatal)
 }
 
 /**
- * Overwrite the PCM-integrator byte of a snapshot file's `tag`
- * section and re-seal that section's CRC, so the loader sees a
- * well-formed file whose only difference is the byte. `skip` decodes
- * the fields stored in front of it.
+ * Rewrite one section of a snapshot file in place and re-seal its
+ * CRC, so the loader sees a well-formed file whose only difference is
+ * the edit. `edit` gets the section's payload and length.
  */
 void
-patchIntegratorByte(const std::string &path, const std::string &tag,
-                    std::uint8_t value,
-                    const std::function<void(Deserializer &)> &skip)
+patchSection(const std::string &path, const std::string &tag,
+             const std::function<void(std::uint8_t *, std::size_t)> &edit)
 {
     std::vector<std::uint8_t> image;
     {
@@ -440,9 +439,7 @@ patchIntegratorByte(const std::string &path, const std::string &tag,
         if (std::string(image.begin() + static_cast<long>(pos),
                         image.begin() + static_cast<long>(pos) + 4) ==
             tag) {
-            Deserializer fields(payload, length);
-            skip(fields);
-            payload[length - fields.remaining()] = value;
+            edit(payload, length);
             const std::uint32_t crc = crc32(payload, length);
             std::memcpy(image.data() + pos + 12, &crc, sizeof crc);
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -453,6 +450,22 @@ patchIntegratorByte(const std::string &path, const std::string &tag,
         pos += 16 + length;
     }
     FAIL() << "no " << tag << " section in " << path;
+}
+
+/**
+ * Overwrite the PCM-integrator byte of a snapshot file's `tag`
+ * section. `skip` decodes the fields stored in front of it.
+ */
+void
+patchIntegratorByte(const std::string &path, const std::string &tag,
+                    std::uint8_t value,
+                    const std::function<void(Deserializer &)> &skip)
+{
+    patchSection(path, tag, [&](std::uint8_t *payload, std::size_t length) {
+        Deserializer fields(payload, length);
+        skip(fields);
+        payload[length - fields.remaining()] = value;
+    });
 }
 
 /** The FatalError message `fn` throws, or empty if it returns. */
@@ -550,6 +563,143 @@ TEST(ResumeMismatch, DifferentIntegratorIsFatal)
                   std::string::npos);
         std::remove(ckpt.c_str());
         std::remove((ckpt + ".prev").c_str());
+    }
+}
+
+/**
+ * Write a small `vmtserve` checkpoint whose ingress ring holds a
+ * backlog (the admission budget is below the arrival rate), patch it
+ * with `edit` (see patchSection) and return the FatalError message of
+ * resuming from it.
+ */
+std::string
+corruptServeResumeMessage(
+    const char *name, const std::string &tag,
+    const std::function<void(std::uint8_t *, std::size_t)> &edit)
+{
+    const std::string ckpt = tempSnapshotPath(name);
+    serve::ServeConfig config;
+    // Three equal pods, so the router spreads jobs over all of them
+    // and the last shard has departures pending.
+    config.numServers = 21;
+    config.podSize = 7;
+    config.maxIntervals = 4;
+    config.admissionBudget = 5;
+    config.checkpointEvery = 2;
+    config.checkpointPath = ckpt;
+    serve::SyntheticFeedParams feed_params;
+    feed_params.users = 14400.0;
+    {
+        serve::SyntheticFeed feed(feed_params);
+        const serve::ServeResult result =
+            serve::ShardedDriver(config).run(feed);
+        EXPECT_GT(result.finalQueueDepth, 0u);
+        EXPECT_GT(result.finalInFlight, 0u);
+    }
+    patchSection(ckpt, tag, edit);
+    config.resumeFrom = ckpt;
+    serve::SyntheticFeed feed(feed_params);
+    serve::ShardedDriver resumed(config);
+    std::string message = fatalMessage([&] { resumed.run(feed); });
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".prev").c_str());
+    return message;
+}
+
+void
+putDoubleAt(std::uint8_t *at, double value)
+{
+    std::memcpy(at, &value, sizeof value);
+}
+
+/**
+ * INGR stores the ring as (capacity, depth) then per entry an arrival
+ * time, a workload byte and a duration. A workload byte out of range,
+ * or a time or duration that is NaN, infinite or negative, is refused
+ * by name instead of being cast or queued.
+ */
+TEST(ResumeMismatch, CorruptIngressEntryIsFatal)
+{
+    // First entry: time at 16, workload byte at 24, duration at 25.
+    const std::size_t time_at = 16;
+    const std::size_t type_at = 24;
+    const std::size_t duration_at = 25;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    EXPECT_NE(corruptServeResumeMessage(
+                  "vmt_corrupt_ingr_type.ckpt", "INGR",
+                  [&](std::uint8_t *payload, std::size_t) {
+                      payload[type_at] = 0xFF;
+                  })
+                  .find("ingress entry 0 has an invalid workload type "
+                        "255"),
+              std::string::npos);
+    for (const double bad : {nan, -1.0}) {
+        SCOPED_TRACE(std::to_string(bad));
+        EXPECT_NE(corruptServeResumeMessage(
+                      "vmt_corrupt_ingr_time.ckpt", "INGR",
+                      [&](std::uint8_t *payload, std::size_t) {
+                          putDoubleAt(payload + time_at, bad);
+                      })
+                      .find("ingress entry 0 has an invalid arrival "
+                            "time"),
+                  std::string::npos);
+        EXPECT_NE(corruptServeResumeMessage(
+                      "vmt_corrupt_ingr_duration.ckpt", "INGR",
+                      [&](std::uint8_t *payload, std::size_t) {
+                          putDoubleAt(payload + duration_at, bad);
+                      })
+                      .find("ingress entry 0 has an invalid duration"),
+                  std::string::npos);
+    }
+}
+
+/**
+ * The synthetic feed's FEED section ends with its pending arrival
+ * (time, workload byte, duration) and the emitted count; the arrival
+ * is checked like an INGR entry.
+ */
+TEST(ResumeMismatch, CorruptFeedPendingArrivalIsFatal)
+{
+    EXPECT_NE(corruptServeResumeMessage(
+                  "vmt_corrupt_feed_type.ckpt", "FEED",
+                  [](std::uint8_t *payload, std::size_t length) {
+                      payload[length - 17] = 0xFF;
+                  })
+                  .find("feed pending arrival has an invalid workload "
+                        "type 255"),
+              std::string::npos);
+    EXPECT_NE(corruptServeResumeMessage(
+                  "vmt_corrupt_feed_time.ckpt", "FEED",
+                  [](std::uint8_t *payload, std::size_t length) {
+                      putDoubleAt(payload + length - 25,
+                                  std::numeric_limits<double>::
+                                      quiet_NaN());
+                  })
+                  .find("feed pending arrival has an invalid arrival "
+                        "time"),
+              std::string::npos);
+}
+
+/**
+ * SHRD ends with the last shard's pending departures as (time, slot)
+ * pairs. A NaN or infinite time would reach IntervalQueue's
+ * float-to-integer bucket conversion (undefined behaviour); it and a
+ * negative time are refused by name.
+ */
+TEST(ResumeMismatch, CorruptDepartureTimeIsFatal)
+{
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -1.0}) {
+        SCOPED_TRACE(std::to_string(bad));
+        EXPECT_NE(corruptServeResumeMessage(
+                      "vmt_corrupt_shrd_departure.ckpt", "SHRD",
+                      [&](std::uint8_t *payload, std::size_t length) {
+                          putDoubleAt(payload + length - 12, bad);
+                      })
+                      .find("is not a finite non-negative number"),
+                  std::string::npos);
     }
 }
 
