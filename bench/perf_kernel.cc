@@ -18,9 +18,19 @@
  * oracle shadows the warmed cluster, so both kernels time the
  * identical trajectory and the ratio is fair.
  *
+ * A second table times the thermal fan-out crossover: the same
+ * Cluster::stepThermal serial (threshold above the fleet) and fanned
+ * out over the pool (threshold 0), alternating per repeat, over
+ * 256...16,384 servers. It reports the median and spread of each and
+ * the smallest fleet from which the fan-out wins — the measurement
+ * behind kThermalParallelThreshold (thermal/thermal_kernel.h) — with
+ * a host block (CPUs, pool threads, compiler, build flags).
+ *
  * Flags: --check             exit non-zero if SoA is slower than
- *                            scalar on the cluster1000 rows
- *        --threads and the shared bench flags (bench/common.h)
+ *                            scalar on the cluster1000 rows (skips
+ *                            the crossover table)
+ *        --threads and the shared bench flags (bench/common.h); the
+ *                            fan-out column uses the --threads pool
  * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
  *              `kernel_micro` + `build` keys into (default
  *              ./BENCH_sim.json; see spliceJson below).
@@ -30,22 +40,29 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.h"
 #include "reference/scalar_thermal.h"
 #include "server/cluster.h"
+#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/json_splice.h"
+#include "util/stats.h"
 
 using namespace vmt;
 
 namespace {
 
 constexpr Celsius kHotThreshold = 45.0;
+
+/** Alternating serial/fan-out timings per crossover fleet size. */
+constexpr int kCrossoverRepeats = 7;
 
 struct Scenario
 {
@@ -138,6 +155,87 @@ bestOfThree(const Step &step, std::size_t reps)
     for (int rep = 0; rep < 2; ++rep)
         seconds = std::min(seconds, timeSteps(step, reps));
     return seconds;
+}
+
+/**
+ * The fan-out crossover table: per fleet size, kCrossoverRepeats
+ * alternating timings of the serial and the fanned-out
+ * Cluster::stepThermal on the same warmed `mixed` cluster (both
+ * paths compute bitwise the same state, so the alternation times one
+ * trajectory). Prints the
+ * host block, one row per size and the measured crossover: the
+ * smallest size from which every larger size also fans out faster.
+ */
+void
+crossoverTable()
+{
+    const std::size_t pool_threads = globalPool().size();
+    std::printf("[thermal_crossover] host: cpus=%u pool_threads=%zu "
+                "compiler=\"%s\" flags=\"%s\"\n",
+                std::thread::hardware_concurrency(), pool_threads,
+                __VERSION__,
+#ifdef VMT_BUILD_FLAGS
+                VMT_BUILD_FLAGS
+#else
+                "unknown"
+#endif
+    );
+    std::printf("[thermal_crossover] %d alternating repeats per size; "
+                "us/step median [min, max]; default threshold %zu\n",
+                kCrossoverRepeats, kThermalParallelThreshold);
+    if (pool_threads < 2) {
+        std::printf("[thermal_crossover] skipped: the pool has one "
+                    "thread (pass --threads N > 1)\n");
+        return;
+    }
+
+    const std::size_t saved = thermalParallelThreshold();
+    const Scenario &scenario = kScenarios[3]; // mixed
+    const Seconds dt = 60.0;
+    std::size_t crossover = 0;
+    for (std::size_t servers = 256; servers <= 16384; servers *= 2) {
+        auto cluster = makeScenario(scenario, servers, dt);
+        // ~50 ms per timing at the serial kernel's ~30 ns/server.
+        const std::size_t reps =
+            std::max<std::size_t>(100, 1'600'000 / servers);
+        const auto step = [&] {
+            return cluster->stepThermal(dt, kHotThreshold);
+        };
+        std::vector<double> serial_us;
+        std::vector<double> fanout_us;
+        for (int r = 0; r < kCrossoverRepeats; ++r) {
+            for (const bool fan_out : {false, true}) {
+                setThermalParallelThreshold(
+                    fan_out ? 0
+                            : std::numeric_limits<std::size_t>::max());
+                const double us = 1e6 * timeSteps(step, reps) /
+                                  static_cast<double>(reps);
+                (fan_out ? fanout_us : serial_us).push_back(us);
+            }
+        }
+        const double serial = percentile(serial_us, 50.0);
+        const double fanout = percentile(fanout_us, 50.0);
+        const bool fan_out_wins = fanout < serial;
+        if (!fan_out_wins)
+            crossover = 0;
+        else if (crossover == 0)
+            crossover = servers;
+        std::printf("[thermal_crossover] servers=%-6zu serial %9.2f "
+                    "[%9.2f, %9.2f]  fan-out %9.2f [%9.2f, %9.2f]  "
+                    "fan-out/serial %.2f\n",
+                    servers, serial, minValue(serial_us),
+                    maxValue(serial_us), fanout, minValue(fanout_us),
+                    maxValue(fanout_us), fanout / serial);
+        std::fflush(stdout);
+    }
+    setThermalParallelThreshold(saved);
+    if (crossover == 0)
+        std::printf("[thermal_crossover] crossover: none up to 16384 "
+                    "servers (serial wins throughout)\n");
+    else
+        std::printf("[thermal_crossover] crossover: fan-out wins from "
+                    "%zu servers\n",
+                    crossover);
 }
 
 /**
@@ -266,8 +364,10 @@ main(int argc, char **argv)
         }
     }
 
-    if (!check)
+    if (!check) {
         spliceJson(json_path, rows);
+        crossoverTable();
+    }
     if (check) {
         std::printf("[kernel_micro] perf gate: %s\n",
                     gate_ok ? "PASS (SoA >= scalar on cluster1000)"

@@ -6,6 +6,7 @@
 #include "core/vmt_wa.h"
 #include "sched/coolest_first.h"
 #include "sched/round_robin.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -34,6 +35,16 @@ makeScheduler(const std::string &policy, double gv, double threshold)
             vmt, hotMaskFromPaper());
     fatal("unknown policy '" + policy +
           "' (rr|cf|ta|wa|preserve|adaptive)");
+}
+
+double
+waxThresholdFromFlags(const Flags &flags)
+{
+    const double threshold = flags.getDouble("threshold", 0.98);
+    if (!(threshold > 0.0 && threshold <= 1.0))
+        fatal("--threshold must be in (0, 1], got " +
+              flags.getString("threshold", ""));
+    return threshold;
 }
 
 } // namespace vmt

@@ -14,6 +14,8 @@
 
 namespace vmt {
 
+class Flags;
+
 /**
  * Construct a fresh scheduler by policy name.
  * @param policy rr | cf | ta | wa | preserve | adaptive.
@@ -23,6 +25,13 @@ namespace vmt {
  */
 std::unique_ptr<Scheduler> makeScheduler(const std::string &policy,
                                          double gv, double threshold);
+
+/**
+ * The front-ends' --threshold flag (default 0.98): the wax melt
+ * fraction VMT treats as full, in (0, 1]. Read before any work.
+ * @throws FatalError naming the flag when it is outside that range.
+ */
+double waxThresholdFromFlags(const Flags &flags);
 
 } // namespace vmt
 

@@ -257,8 +257,7 @@ ShardedDriver::ShardedDriver(const ServeConfig &config)
 void
 ShardedDriver::drainDepartures(Shard &shard, Seconds now)
 {
-    while (shard.departures.hasEventDue(now)) {
-        const std::uint32_t slot = shard.departures.pop();
+    shard.departures.drainDue(now, [&shard](std::uint32_t slot) {
         const SimActiveJob &job = shard.slots[slot];
         // Tombstones (evacuated jobs whose slot waits for its
         // original departure) free silently.
@@ -276,7 +275,7 @@ ShardedDriver::drainDepartures(Shard &shard, Seconds now)
             ++shard.completedThisInterval;
         }
         shard.freeSlots.push_back(slot);
-    }
+    });
 }
 
 void
@@ -1268,9 +1267,9 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
         }
         const std::size_t pending = shrd.getSize();
         // Pin the rebuilt queue's drain front to the resume point,
-        // then re-schedule in saved pop order — (time, seq) sorting
-        // reproduces the original tie-breaks under fresh sequence
-        // numbers. The per-slot departure times rebuild from the
+        // then re-schedule in saved pop order — the stable per-bucket
+        // sort keeps each tie group in that order, reproducing the
+        // original tie-breaks. The per-slot departure times rebuild from the
         // same entries.
         shard.departures.restoreFront(resume_time);
         shard.slotDue.assign(shard.slots.size(), 0.0);

@@ -1,5 +1,7 @@
 #include "server/cluster.h"
 
+#include <algorithm>
+
 #include "state/serializer.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -9,11 +11,24 @@ namespace vmt {
 namespace {
 
 /**
- * Chunk size for the parallel thermal path. Fixed (never derived from
- * the thread count) so chunk boundaries — and therefore every
- * per-chunk computation — are reproducible across pool sizes.
+ * Chunking of the parallel thermal path: chunks of at least
+ * kThermalMinGrain servers, coarse enough that a fleet splits into at
+ * most kThermalMaxChunks of them — below that a chunk's dispatch
+ * costs more than its work (bench/perf_kernel's crossover table).
+ * The grain depends on the fleet size only, never on the thread
+ * count, so chunk boundaries — and therefore every per-chunk
+ * computation — are reproducible across pool sizes.
  */
-constexpr std::size_t kThermalGrain = 64;
+constexpr std::size_t kThermalMinGrain = 64;
+constexpr std::size_t kThermalMaxChunks = 16;
+
+std::size_t
+thermalGrain(std::size_t num_servers)
+{
+    return std::max(kThermalMinGrain,
+                    (num_servers + kThermalMaxChunks - 1) /
+                        kThermalMaxChunks);
+}
 
 /** Parallelize per-server work for this many servers? */
 bool
@@ -183,11 +198,11 @@ Cluster::stepThermal(Seconds dt, Celsius hot_threshold)
     const std::size_t n = servers_.size();
 
     // Gather stale power entries, then batch-step. Per-server values
-    // are independent of the (fixed-grain) chunk boundaries.
+    // are independent of the chunk boundaries.
     refreshPowerArray();
     soa_->beginStep(dt);
     if (useParallelPath(n)) {
-        parallelFor(globalPool(), 0, n, kThermalGrain,
+        parallelFor(globalPool(), 0, n, thermalGrain(n),
                     [&](std::size_t begin, std::size_t end) {
                         soa_->stepChunk(begin, end);
                     });

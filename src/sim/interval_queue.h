@@ -1,26 +1,34 @@
 /**
  * @file
- * Interval-bucketed calendar queue: the hot-path replacement for
- * EventQueue in the simulation driver.
+ * Interval-bucketed calendar queue: the departure calendar of both
+ * simulation drivers.
  *
- * The driver only ever drains events at fixed interval boundaries
+ * The drivers only ever drain events at fixed interval boundaries
  * (now = i * dt), so a binary heap's O(log N) per push/pop is wasted
  * generality. This queue files each event into the bucket of the
  * first interval boundary at or after its timestamp (O(1) push,
- * amortized O(1) pop plus one sort per bucket), and reproduces the
- * heap's (time, then insertion order) pop sequence exactly:
+ * amortized O(1) pop plus one linear-time sort per bucket), and
+ * reproduces a heap's (time, then insertion order) pop sequence
+ * exactly — tests/reference/event_queue.h is that heap, kept as the
+ * oracle:
  *
  *  - bucket b holds times t with double(b)*dt >= t and, for b > 0,
  *    double(b-1)*dt < t — computed with the same floating-point
  *    expression the driver uses for interval boundaries, so the
  *    buckets partition timestamps strictly and draining buckets in
  *    index order is globally time-sorted;
- *  - each bucket is sorted by (time, seq) once, when draining reaches
- *    it, so equal-time events pop in insertion order;
+ *  - every bucket other than a mid-drain front holds its entries in
+ *    insertion order (schedule() only appends), so a *stable* sort by
+ *    time alone yields (time, insertion) order with no sequence
+ *    number stored. The sort is an LSD radix sort on the IEEE-754
+ *    bits of time + 0.0: the addition maps -0.0 to +0.0 (the two
+ *    compare equal, so they must tie), and non-negative doubles order
+ *    like their bit patterns. Only the bit range that varies within
+ *    the bucket is sorted;
  *  - an event scheduled at or before the drain point (e.g. a
- *    zero-duration job) is placed, in (time, seq) order, into the
- *    undrained remainder of the active bucket — exactly where the
- *    heap would surface it.
+ *    zero-duration job) is placed into the undrained remainder of the
+ *    sorted front bucket after every entry of equal time — exactly
+ *    where the heap would surface it.
  *
  * Drained bucket storage is recycled through a spare pool, so the
  * steady state performs no allocation.
@@ -30,6 +38,8 @@
 #define VMT_SIM_INTERVAL_QUEUE_H
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -43,10 +53,10 @@ namespace vmt {
 
 /**
  * Time-ordered queue with FIFO tie-breaking, specialized for drains
- * at multiples of a fixed interval. Pop order is identical to
- * EventQueue's for any schedule/pop sequence.
+ * at multiples of a fixed interval. Pop order is identical to a
+ * (time, insertion)-ordered heap's for any schedule/pop sequence.
  *
- * @tparam Payload Copyable event payload.
+ * @tparam Payload Copyable, default-constructible event payload.
  */
 template <typename Payload>
 class IntervalQueue
@@ -67,18 +77,19 @@ class IntervalQueue
         std::uint64_t b = bucketOf(time);
         if (!buckets_.empty() && b < base_)
             b = base_; // Bucket already retired; drains next.
-        Entry entry{time, nextSeq_++, std::move(payload)};
         if (!buckets_.empty() && b == base_ && frontSorted_) {
             // The active bucket is mid-drain: keep its undrained
-            // tail sorted so the entry pops in (time, seq) order.
+            // tail sorted. upper_bound lands after every equal time,
+            // all of which were scheduled earlier — FIFO.
             auto &front = buckets_.front();
             const auto it = std::upper_bound(
                 front.begin() +
                     static_cast<std::ptrdiff_t>(cursor_),
-                front.end(), entry, orderBefore);
-            front.insert(it, std::move(entry));
+                front.end(), time,
+                [](Seconds t, const Entry &e) { return t < e.time; });
+            front.insert(it, Entry{time, std::move(payload)});
         } else {
-            bucketAt(b).push_back(std::move(entry));
+            bucketAt(b).push_back(Entry{time, std::move(payload)});
         }
         ++size_;
     }
@@ -120,24 +131,53 @@ class IntervalQueue
     }
 
     /**
+     * Pop every event due at or before `now`, in pop order, calling
+     * fn(payload) for each — the drivers' departure drain. Equivalent
+     * to `while (hasEventDue(now)) fn(pop());` but walks each bucket
+     * once instead of re-preparing the front per event. fn must not
+     * touch the queue. Returns the number of events drained.
+     */
+    template <typename Fn>
+    std::size_t
+    drainDue(Seconds now, Fn &&fn)
+    {
+        std::size_t drained = 0;
+        while (prepareFront()) {
+            auto &front = buckets_.front();
+            const std::size_t n = front.size();
+            std::size_t i = cursor_;
+            while (i < n && front[i].time <= now)
+                fn(std::move(front[i++].payload));
+            drained += i - cursor_;
+            size_ -= i - cursor_;
+            cursor_ = i;
+            if (i < n)
+                break; // The earliest pending event is not due.
+        }
+        return drained;
+    }
+
+    /**
      * Visit every pending event as fn(time, payload) in pop order
      * (checkpoint save). The queue itself is not modified; feeding
      * the visited sequence back through restoreFront() + schedule()
      * on a fresh queue reproduces this queue's pop order exactly —
-     * (time, seq) sorting preserves the relative tie-break order even
-     * though the fresh queue assigns new sequence numbers.
+     * the fresh buckets receive each tie group in visit order, and
+     * the stable sort keeps it.
      *
      * Buckets partition time strictly (a late insert clamped into the
      * front bucket is earlier than every later bucket), so sorting
      * each bucket on its own and visiting buckets in index order is
-     * the global (time, seq) order. The front bucket's undrained tail
-     * is visited in place when draining has already sorted it.
+     * the global (time, insertion) order. The front bucket's
+     * undrained tail is visited in place when draining has already
+     * sorted it.
      */
     template <typename Fn>
     void
     visitPending(Fn &&fn) const
     {
         std::vector<Entry> sorted;
+        std::vector<Entry> scratch;
         for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
             const auto &bucket = buckets_[bi];
             const std::size_t first = bi == 0 ? cursor_ : 0;
@@ -149,7 +189,7 @@ class IntervalQueue
             sorted.assign(
                 bucket.begin() + static_cast<std::ptrdiff_t>(first),
                 bucket.end());
-            std::sort(sorted.begin(), sorted.end(), orderBefore);
+            sortByTime(sorted, scratch);
             for (const Entry &entry : sorted)
                 fn(entry.time, entry.payload);
         }
@@ -178,16 +218,78 @@ class IntervalQueue
     struct Entry
     {
         Seconds time;
-        std::uint64_t seq;
         Payload payload;
     };
 
-    static bool
-    orderBefore(const Entry &a, const Entry &b)
+    static constexpr unsigned kDigitBits = 8;
+    static constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+
+    /** Sort key: non-negative doubles order like their bit patterns;
+     *  adding +0.0 maps -0.0 onto +0.0 so the two tie. */
+    static std::uint64_t
+    keyOf(Seconds time)
     {
-        if (a.time != b.time)
-            return a.time < b.time;
-        return a.seq < b.seq;
+        return std::bit_cast<std::uint64_t>(time + 0.0);
+    }
+
+    /**
+     * Stable sort of `v` by time (ties keep their order). LSD radix
+     * over 8-bit digits of keyOf(), restricted to the bits that vary
+     * across the bucket (XOR against the first key) and skipping
+     * digits every key shares; `scratch` is the ping-pong buffer and
+     * may swap storage with `v`.
+     */
+    static void
+    sortByTime(std::vector<Entry> &v, std::vector<Entry> &scratch)
+    {
+        const std::size_t n = v.size();
+        if (n < 2)
+            return;
+
+        const std::uint64_t first = keyOf(v[0].time);
+        std::uint64_t varying = 0;
+        for (const Entry &e : v)
+            varying |= keyOf(e.time) ^ first;
+        if (varying == 0)
+            return; // All times equal: insertion order is the order.
+        const auto bits =
+            static_cast<unsigned>(std::bit_width(varying));
+        const unsigned passes = (bits + kDigitBits - 1) / kDigitBits;
+
+        // All digit histograms in one sweep (bucket sizes stay far
+        // below 2^32).
+        std::array<std::array<std::uint32_t, kRadix>, 8> counts;
+        for (unsigned p = 0; p < passes; ++p)
+            counts[p].fill(0);
+        for (const Entry &e : v) {
+            const std::uint64_t key = keyOf(e.time);
+            for (unsigned p = 0; p < passes; ++p)
+                ++counts[p][(key >> (p * kDigitBits)) & (kRadix - 1)];
+        }
+
+        scratch.resize(n);
+        Entry *src = v.data();
+        Entry *dst = scratch.data();
+        for (unsigned p = 0; p < passes; ++p) {
+            const unsigned shift = p * kDigitBits;
+            auto &count = counts[p];
+            if (count[(first >> shift) & (kRadix - 1)] == n)
+                continue; // Every key shares this digit.
+            std::uint32_t offset = 0;
+            for (std::uint32_t &c : count) {
+                const std::uint32_t here = c;
+                c = offset;
+                offset += here;
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::size_t digit =
+                    (keyOf(src[i].time) >> shift) & (kRadix - 1);
+                dst[count[digit]++] = std::move(src[i]);
+            }
+            std::swap(src, dst);
+        }
+        if (src != v.data())
+            v.swap(scratch);
     }
 
     /** Smallest b with double(b) * dt >= time. The cast-then-multiply
@@ -233,8 +335,7 @@ class IntervalQueue
             auto &front = buckets_.front();
             if (cursor_ < front.size()) {
                 if (!frontSorted_) {
-                    std::sort(front.begin(), front.end(),
-                              orderBefore);
+                    sortByTime(front, scratch_);
                     frontSorted_ = true;
                 }
                 return true;
@@ -280,8 +381,9 @@ class IntervalQueue
     std::size_t cursor_ = 0;
     bool frontSorted_ = false;
     std::vector<std::vector<Entry>> spare_;
+    /** Ping-pong buffer of the front bucket's radix sort. */
+    std::vector<Entry> scratch_;
     std::size_t size_ = 0;
-    std::uint64_t nextSeq_ = 0;
 };
 
 } // namespace vmt

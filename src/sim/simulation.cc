@@ -275,15 +275,14 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         // evacuation (serverId == kNoServer) are tombstones: the slot
         // stays reserved until its departure fires, so slot ids stay
         // unique among scheduled departures.
-        while (departures.hasEventDue(now)) {
-            const std::uint32_t slot = departures.pop();
+        departures.drainDue(now, [&](std::uint32_t slot) {
             const SimActiveJob &job = slots[slot];
             if (job.serverId != kNoServer) {
                 cluster.removeJob(job.serverId, job.type);
                 index_remove(job.serverId, job.type, slot);
             }
             free_slots.push_back(slot);
-        }
+        });
 
         // 1b. Apply fault events due at this boundary (server
         // outages/repairs, cooling derates, stochastic draws,

@@ -15,19 +15,22 @@ namespace vmt {
 
 /**
  * Default parallel threshold: servers at or above this count make
- * stepThermal()/totalPower() use the chunked parallel path (when the
- * global pool has more than one thread). The 100-server sweep
- * configurations stay on the fused serial loop, which is faster at
- * that scale; the 1,000-server headline runs fan out.
+ * stepThermal() use the chunked parallel path (when the global pool
+ * has more than one thread). It is the measured crossover of
+ * bench/perf_kernel's serial-vs-fan-out table (DESIGN.md §8): the
+ * serial SoA step costs ~25-30 ns per server, so below ~8k servers
+ * waking the pool costs more than the work it spreads. The 100-server
+ * sweeps, the 1,000-server headline runs and vmtserve's pods all stay
+ * on the fused serial loop.
  */
-inline constexpr std::size_t kThermalParallelThreshold = 256;
+inline constexpr std::size_t kThermalParallelThreshold = 8192;
 
 /**
  * Cluster size at or above which stepThermal()/the SoA chunk loop use
  * the thread pool (when it has more than one thread). Resolved, in
  * priority order, from setThermalParallelThreshold() (the
  * --thermal-parallel-threshold flag), VMT_THERMAL_PARALLEL_THRESHOLD,
- * then kThermalParallelThreshold (cluster.h). The threshold affects
+ * then kThermalParallelThreshold. The threshold affects
  * scheduling only, never values: chunk boundaries and reductions are
  * independent of where the crossover sits.
  */

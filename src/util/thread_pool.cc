@@ -13,7 +13,8 @@ namespace vmt {
 
 namespace {
 
-/** Set while a thread is executing a pool task. */
+/** Set while a thread is executing a pool task, or draining chunks
+ *  of its own parallelFor. */
 thread_local bool tls_inside_worker = false;
 
 /** Process-wide task telemetry (see ThreadPool::taskStats). Stored
@@ -219,7 +220,13 @@ parallelFor(ThreadPool &pool, std::size_t begin, std::size_t end,
     futures.reserve(helpers);
     for (std::size_t i = 0; i < helpers; ++i)
         futures.push_back(pool.submit(drain));
+    // While the caller drains chunks it is inside the region like any
+    // helper: a parallelFor reached from its chunk must run inline
+    // too, not queue helpers behind this region's own. (drain()
+    // catches everything fn throws, so the flag is always reset.)
+    tls_inside_worker = true;
     drain();
+    tls_inside_worker = false;
     for (std::future<void> &future : futures)
         future.wait();
     if (control->error)

@@ -17,10 +17,12 @@
  *    across tasks themselves.
  *
  * Nested parallelism runs inline: a parallelFor() issued from inside
- * a pool worker executes serially on that worker, which both avoids
+ * a pool worker — or from a chunk the calling thread runs of its own
+ * parallelFor() — executes serially on that thread, which both avoids
  * queue-deadlock (an outer task blocking on inner tasks that can
  * never be scheduled) and oversubscription when runDatacenter's
- * cluster fan-out reaches Cluster::stepThermal.
+ * cluster fan-out or vmtserve's shard fan-out reaches
+ * Cluster::stepThermal.
  *
  * The pool size comes from, in priority order: setGlobalThreadCount()
  * (the --threads flag), the VMT_THREADS environment variable, then
@@ -70,7 +72,8 @@ class ThreadPool
      */
     std::future<void> submit(std::function<void()> task);
 
-    /** True on a thread currently executing a pool task (any pool). */
+    /** True on a thread currently executing a pool task (any pool)
+     *  or draining chunks of its own parallelFor(). */
     static bool insideWorker();
 
     /**
@@ -122,7 +125,9 @@ ThreadPool &globalPool();
  * depend only on (begin, end, grain) — never on the thread count — so
  * per-chunk results are reproducible across pool sizes. Runs inline
  * (single fn(begin, end) call) when the range fits one grain, the
- * pool has one thread, or the caller is already a pool worker.
+ * pool has one thread, or the caller is already inside a parallel
+ * region (a pool worker, or a caller running chunks of an enclosing
+ * parallelFor).
  *
  * The calling thread participates in chunk execution. The first
  * exception thrown by fn is rethrown on the caller after all chunks

@@ -27,6 +27,7 @@
 #include "sched/switchover.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
+#include "thermal/thermal_kernel.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -38,6 +39,16 @@ class ThreadCountGuard
 {
   public:
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
+};
+
+/** Restores the thermal fan-out threshold a test lowers. */
+class ThresholdGuard
+{
+  public:
+    ~ThresholdGuard() { setThermalParallelThreshold(saved_); }
+
+  private:
+    std::size_t saved_ = thermalParallelThreshold();
 };
 
 SimConfig
@@ -259,8 +270,7 @@ TEST(FaultSim, ThermalEmergencyQuarantinesAndCountsCriticalTime)
 }
 
 /** Fault scenario exercising scripted, stochastic and cooling events
- *  together on a cluster large enough for the parallel thermal path
- *  (>= 256 servers). */
+ *  together on a few hundred servers (server 130 exists). */
 SimConfig
 stochasticScenario(std::size_t servers, double hours)
 {
@@ -280,6 +290,10 @@ stochasticScenario(std::size_t servers, double hours)
 TEST(FaultSim, FaultedRunIsBitwiseIdenticalAcrossThreadCounts)
 {
     ThreadCountGuard guard;
+    ThresholdGuard threshold_guard;
+    // Threshold 1: the 4-thread leg takes the chunked-parallel thermal
+    // path whatever the default cutover is.
+    setThermalParallelThreshold(1);
     const SimConfig config = stochasticScenario(300, 1.0);
 
     setGlobalThreadCount(1);

@@ -10,7 +10,7 @@
 
 #include "sched/balanced_group.h"
 #include "sched/scheduler.h"
-#include "sim/event_queue.h"
+#include "reference/event_queue.h"
 #include "thermal/pcm.h"
 #include "thermal/server_thermal.h"
 #include "thermal/wax_state_estimator.h"
@@ -18,6 +18,8 @@
 
 namespace vmt {
 namespace {
+
+using reference::EventQueue;
 
 class RandomizedSeeds : public ::testing::TestWithParam<std::uint64_t>
 {};

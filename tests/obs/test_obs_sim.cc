@@ -18,6 +18,7 @@
 #include "obs/observability.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
+#include "thermal/thermal_kernel.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/time_series.h"
@@ -30,6 +31,16 @@ class ThreadCountGuard
 {
   public:
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
+};
+
+/** Restores the thermal fan-out threshold a test lowers. */
+class ThresholdGuard
+{
+  public:
+    ~ThresholdGuard() { setThermalParallelThreshold(saved_); }
+
+  private:
+    std::size_t saved_ = thermalParallelThreshold();
 };
 
 std::string
@@ -142,9 +153,12 @@ TEST(ObsSim, AttachingObservabilityDoesNotPerturbTheResult)
 TEST(ObsSim, NonProfileMetricsIdenticalAcrossThreadCounts)
 {
     ThreadCountGuard guard;
-    // 300 servers takes the chunked-parallel thermal path at
-    // threads=4, the case where worker threads touch the metrics
-    // only through the profile.* namespace.
+    ThresholdGuard threshold_guard;
+    // Threshold 1: the 300 servers take the chunked-parallel thermal
+    // path at threads=4 whatever the default cutover is, the case
+    // where worker threads touch the metrics only through the
+    // profile.* namespace.
+    setThermalParallelThreshold(1);
     const SimConfig base = shortRun(300, 1.0);
 
     setGlobalThreadCount(1);

@@ -7,10 +7,12 @@
 
 #include <string>
 
-#include "sim/event_queue.h"
+#include "reference/event_queue.h"
 
 namespace vmt {
 namespace {
+
+using reference::EventQueue;
 
 TEST(EventQueue, EmptyOnConstruction)
 {

@@ -9,17 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
+#include "reference/event_queue.h"
 #include "sim/interval_queue.h"
 #include "util/rng.h"
 
 namespace vmt {
 namespace {
+
+using reference::EventQueue;
 
 constexpr Seconds kDt = 60.0;
 
@@ -430,6 +433,272 @@ TEST(IntervalQueue, VisitPendingMatchesGlobalSortReference)
         }
         EXPECT_GT(next_seq, 500) << "seed " << seed;
     }
+}
+
+/**
+ * Drain both queues completely and require identical (time, payload)
+ * pop sequences — the exact-order contract on whatever the caller
+ * scheduled.
+ */
+void
+expectSamePops(IntervalQueue<int> &iq, EventQueue<int> &eq)
+{
+    ASSERT_EQ(iq.size(), eq.size());
+    std::size_t popped = 0;
+    while (!eq.empty()) {
+        ASSERT_FALSE(iq.empty()) << "pop " << popped;
+        const Seconds expected_time = eq.nextTime();
+        ASSERT_EQ(iq.nextTime(), expected_time) << "pop " << popped;
+        ASSERT_EQ(iq.pop(), eq.pop()) << "pop " << popped;
+        ++popped;
+    }
+    EXPECT_TRUE(iq.empty());
+}
+
+TEST(IntervalQueue, NegativeZeroTiesPositiveZeroFifo)
+{
+    // -0.0 == +0.0, so the two are one tie group and pop in
+    // insertion order (the radix key maps -0.0 onto +0.0), in a small
+    // bucket and a large one, where they sit among later times of the
+    // same bucket.
+    for (const std::size_t count : {std::size_t{6}, std::size_t{256}}) {
+        IntervalQueue<int> q(kDt);
+        EventQueue<int> oracle;
+        for (std::size_t i = 0; i < count; ++i) {
+            const Seconds time =
+                i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : 1e-3 * i);
+            q.schedule(time, static_cast<int>(i));
+            oracle.schedule(time, static_cast<int>(i));
+        }
+        // The zeros come out first, in insertion order.
+        std::vector<int> zeros;
+        for (std::size_t i = 0; i < count; i += 3) {
+            zeros.push_back(static_cast<int>(i));
+            if (i + 1 < count)
+                zeros.push_back(static_cast<int>(i + 1));
+        }
+        std::vector<int> popped;
+        for (std::size_t i = 0; i < zeros.size(); ++i)
+            popped.push_back(q.pop());
+        EXPECT_EQ(popped, zeros) << "count " << count;
+        for (std::size_t i = 0; i < zeros.size(); ++i)
+            oracle.pop();
+        expectSamePops(q, oracle);
+    }
+}
+
+TEST(IntervalQueue, BucketStraddlingPowerOfTwoSortsExactly)
+{
+    // With dt = 60 the bucket (131040, 131100] contains 2^17 = 131072,
+    // so the exponent field changes inside the bucket and the varying
+    // bit range reaches into it. Times on both sides, ties included.
+    const Seconds pow2 = 131072.0;
+    const std::uint64_t bucket = 2185;
+    ASSERT_LT(static_cast<double>(bucket - 1) * kDt, pow2);
+    ASSERT_GE(static_cast<double>(bucket) * kDt, pow2);
+    Rng rng(2185);
+    IntervalQueue<int> q(kDt);
+    EventQueue<int> oracle;
+    for (int i = 0; i < 3000; ++i) {
+        Seconds time = 0.0;
+        switch (rng.below(4)) {
+        case 0:
+            time = pow2; // Exactly on the power of two (ties).
+            break;
+        case 1:
+            time = std::nextafter(pow2, 0.0);
+            break;
+        case 2:
+            time = 131040.0 + rng.uniform(1e-9, 32.0); // Below 2^17.
+            break;
+        default:
+            time = pow2 + rng.uniform(0.0, 28.0); // At or above 2^17.
+            break;
+        }
+        q.schedule(time, i);
+        oracle.schedule(time, i);
+    }
+    expectSamePops(q, oracle);
+}
+
+TEST(IntervalQueue, FiveThousandEqualTimesPopFifo)
+{
+    IntervalQueue<int> q(kDt);
+    for (int i = 0; i < 5000; ++i)
+        q.schedule(1234.5, i);
+    int expected = 0;
+    const std::size_t drained =
+        q.drainDue(1260.0, [&expected](int payload) {
+            EXPECT_EQ(payload, expected);
+            ++expected;
+        });
+    EXPECT_EQ(drained, 5000u);
+    EXPECT_EQ(expected, 5000);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(IntervalQueue, EveryBucketSizeUpTo130MatchesHeap)
+{
+    // One bucket of n entries — random times with deliberate ties —
+    // for every n from a single entry up to past one radix digit's
+    // worth of distinct keys.
+    for (std::size_t n = 1; n <= 130; ++n) {
+        Rng rng(n);
+        IntervalQueue<int> q(kDt);
+        EventQueue<int> oracle;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Seconds time =
+                rng.below(4) == 0
+                    ? 600.0 // Tie on the bucket's boundary.
+                    : 540.0 + rng.uniform(1e-6, 60.0);
+            q.schedule(time, static_cast<int>(i));
+            oracle.schedule(time, static_cast<int>(i));
+        }
+        expectSamePops(q, oracle);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "bucket size " << n;
+            return;
+        }
+    }
+}
+
+TEST(IntervalQueue, EqualTimeInsertsIntoMidDrainFrontPopFifo)
+{
+    // A radix-sized front bucket is partly drained; inserts at times
+    // equal to pending ones (and before and after them, all clamped
+    // into that bucket) must pop after the earlier-scheduled ties.
+    Rng rng(77);
+    IntervalQueue<int> q(kDt);
+    EventQueue<int> oracle;
+    int next = 0;
+    const auto schedule = [&](Seconds time) {
+        q.schedule(time, next);
+        oracle.schedule(time, next);
+        ++next;
+    };
+    const Seconds ties[] = {130.0, 150.0, 180.0};
+    for (int i = 0; i < 400; ++i)
+        schedule(rng.below(2) == 0 ? ties[rng.below(3)]
+                                   : 120.0 + rng.uniform(1e-6, 60.0));
+    for (int round = 0; round < 6; ++round) {
+        for (int k = 0; k < 30; ++k) {
+            ASSERT_EQ(q.nextTime(), oracle.nextTime());
+            ASSERT_EQ(q.pop(), oracle.pop());
+        }
+        for (int k = 0; k < 25; ++k) {
+            switch (rng.below(3)) {
+            case 0:
+                schedule(ties[rng.below(3)]);
+                break;
+            case 1:
+                schedule(q.nextTime()); // Tie with the next pop.
+                break;
+            default:
+                schedule(rng.uniform(0.0, 180.0)); // Clamped if late.
+                break;
+            }
+        }
+    }
+    expectSamePops(q, oracle);
+}
+
+TEST(IntervalQueue, DrainDueMatchesPopLoop)
+{
+    // The drivers' bulk drain against the hasEventDue/pop loop it
+    // replaced, on identical schedules with big (radix) buckets,
+    // ties, zero durations and late inserts between drains.
+    Rng rng(31);
+    IntervalQueue<int> bulk(kDt);
+    IntervalQueue<int> single(kDt);
+    int next = 0;
+    for (std::size_t interval = 0; interval < 300; ++interval) {
+        const Seconds now = static_cast<double>(interval) * kDt;
+        std::vector<int> from_bulk;
+        const std::size_t drained = bulk.drainDue(
+            now, [&from_bulk](int payload) {
+                from_bulk.push_back(payload);
+            });
+        std::vector<int> from_pop;
+        while (single.hasEventDue(now))
+            from_pop.push_back(single.pop());
+        ASSERT_EQ(from_bulk, from_pop) << "interval " << interval;
+        ASSERT_EQ(drained, from_pop.size());
+        ASSERT_EQ(bulk.size(), single.size());
+        ASSERT_FALSE(bulk.hasEventDue(now));
+
+        const std::uint64_t batch = rng.below(240);
+        for (std::uint64_t j = 0; j < batch; ++j) {
+            Seconds time = now;
+            switch (rng.below(5)) {
+            case 0:
+                time = now + 90.0;
+                break;
+            case 1:
+                time = std::max(0.0, now - rng.uniform(0.0, 2.0 * kDt));
+                break;
+            case 2:
+                break; // Zero duration.
+            default:
+                time = now + rng.uniform(0.0, 8.0 * kDt);
+                break;
+            }
+            bulk.schedule(time, next);
+            single.schedule(time, next);
+            ++next;
+        }
+    }
+    std::vector<int> rest_bulk;
+    bulk.drainDue(1e12, [&rest_bulk](int p) { rest_bulk.push_back(p); });
+    std::vector<int> rest_pop;
+    while (!single.empty())
+        rest_pop.push_back(single.pop());
+    EXPECT_EQ(rest_bulk, rest_pop);
+    EXPECT_TRUE(bulk.empty());
+    EXPECT_EQ(bulk.drainDue(1e12, [](int) {}), 0u);
+}
+
+TEST(IntervalQueue, VisitRestoreRoundtripWithRadixBuckets)
+{
+    // Checkpoint idiom on radix-sized buckets: a mid-drain sorted
+    // front, unsorted later buckets, +-0.0 and equal-time ties. The
+    // rebuilt queue must pop exactly what the original pops.
+    Rng rng(5);
+    IntervalQueue<int> original(kDt);
+    for (int i = 0; i < 2000; ++i) {
+        Seconds time = 0.0;
+        switch (rng.below(4)) {
+        case 0:
+            time = i % 2 == 0 ? -0.0 : 0.0;
+            break;
+        case 1:
+            time = 60.0 * static_cast<double>(1 + rng.below(4));
+            break;
+        default:
+            time = rng.uniform(0.0, 240.0);
+            break;
+        }
+        original.schedule(time, i);
+    }
+    for (int i = 0; i < 300; ++i)
+        original.pop(); // Mid-bucket cursor in bucket 0 or 1.
+    const Seconds now = 60.0;
+
+    std::vector<std::pair<Seconds, int>> saved;
+    original.visitPending([&saved](Seconds time, int payload) {
+        saved.push_back({time, payload});
+    });
+    ASSERT_EQ(saved.size(), original.size());
+
+    IntervalQueue<int> restored(kDt);
+    restored.restoreFront(now);
+    for (const auto &[time, payload] : saved)
+        restored.schedule(time, payload);
+    while (!original.empty()) {
+        ASSERT_FALSE(restored.empty());
+        ASSERT_EQ(restored.nextTime(), original.nextTime());
+        ASSERT_EQ(restored.pop(), original.pop());
+    }
+    EXPECT_TRUE(restored.empty());
 }
 
 } // namespace

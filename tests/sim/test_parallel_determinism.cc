@@ -12,8 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "server/cluster.h"
 #include "sim/datacenter_sim.h"
 #include "thermal/rc_node.h"
+#include "thermal/thermal_kernel.h"
 #include "util/thread_pool.h"
 
 namespace vmt {
@@ -32,6 +38,31 @@ class ThreadCountGuard
   public:
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
 };
+
+/** Restores the thermal fan-out threshold when a test exits. */
+class ThresholdGuard
+{
+  public:
+    ~ThresholdGuard() { setThermalParallelThreshold(saved_); }
+
+  private:
+    std::size_t saved_ = thermalParallelThreshold();
+};
+
+/** Pool tasks run so far, once the counts have settled: a task's
+ *  count lands just after its future completes, so wait (bounded)
+ *  until it reaches `at_least`, then a moment more for stragglers. */
+std::uint64_t
+settledTaskCount(std::uint64_t at_least)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (ThreadPool::taskStats().tasks < at_least &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return ThreadPool::taskStats().tasks;
+}
 
 DatacenterSimConfig
 smallDc(std::size_t clusters = 4)
@@ -124,8 +155,10 @@ bigCluster()
 TEST(ParallelDeterminism, StepThermalParallelMatchesSerialBitwise)
 {
     ThreadCountGuard guard;
-    ASSERT_GE(1000u, kThermalParallelThreshold)
-        << "test cluster must take the parallel path";
+    ThresholdGuard threshold_guard;
+    // Threshold 1: the 1,000-server cluster takes the chunked path at
+    // 4 threads whatever the default cutover is.
+    setThermalParallelThreshold(1);
 
     setGlobalThreadCount(1); // Reference: the serial fused loop.
     Cluster serial_cluster = bigCluster();
@@ -274,14 +307,77 @@ TEST(CacheRegression, TotalPowerMatchesSerialRecompute)
 TEST(ParallelDeterminism, SmallClusterStaysOnSerialPath)
 {
     ThreadCountGuard guard;
+    ThresholdGuard threshold_guard;
     setGlobalThreadCount(4);
-    // Below the threshold the fused serial loop runs even with a
-    // multi-thread pool; this documents the cutover contract.
-    Cluster small(100, ServerSpec{}, ServerThermalParams{},
-                  PowerModel({}, 1.77));
-    EXPECT_LT(small.numServers(), kThermalParallelThreshold);
+    setThermalParallelThreshold(kThermalParallelThreshold);
+    // One server below the default cutover the fused serial loop runs
+    // even with a multi-thread pool (no pool task is submitted); at
+    // the cutover the step fans out. This documents the contract.
+    Cluster small(kThermalParallelThreshold - 1, ServerSpec{},
+                  ServerThermalParams{}, PowerModel({}, 1.77));
+    const std::uint64_t before = settledTaskCount(0);
     const ClusterSample s = small.stepThermal(60.0);
     EXPECT_GT(s.coolingLoad, 0.0);
+    EXPECT_EQ(settledTaskCount(before), before);
+
+    Cluster at_cutover(kThermalParallelThreshold, ServerSpec{},
+                       ServerThermalParams{}, PowerModel({}, 1.77));
+    at_cutover.stepThermal(60.0);
+    EXPECT_GT(settledTaskCount(before + 1), before);
+}
+
+TEST(ParallelFor, NestedCallFromCallerChunkRunsInline)
+{
+    // The calling thread drains chunks of its own region; a nested
+    // parallelFor from one of those chunks must run inline there, as
+    // it does on a worker, and submit nothing. Outer chunks on the
+    // helpers park until the caller's nested call returns, so the
+    // caller is sure to run a chunk; the wait is bounded, so a
+    // regression fails instead of deadlocking.
+    ThreadPool pool(3);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::condition_variable nested_cv;
+    bool nested_done = false;
+    std::atomic<bool> nested_started{false};
+    std::vector<std::pair<std::size_t, std::size_t>> inner_calls;
+    std::vector<std::thread::id> inner_threads;
+
+    const std::uint64_t before = settledTaskCount(0);
+    parallelFor(pool, 0, pool.size() + 1, 1,
+                [&](std::size_t, std::size_t) {
+                    if (std::this_thread::get_id() != caller) {
+                        std::unique_lock<std::mutex> lock(mutex);
+                        nested_cv.wait_for(lock,
+                                           std::chrono::seconds(5),
+                                           [&] { return nested_done; });
+                        return;
+                    }
+                    if (nested_started.exchange(true))
+                        return;
+                    parallelFor(pool, 0, 1000, 10,
+                                [&](std::size_t b, std::size_t e) {
+                                    std::lock_guard<std::mutex> lock(
+                                        mutex);
+                                    inner_calls.emplace_back(b, e);
+                                    inner_threads.push_back(
+                                        std::this_thread::get_id());
+                                });
+                    {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        nested_done = true;
+                    }
+                    nested_cv.notify_all();
+                });
+
+    ASSERT_TRUE(nested_started.load());
+    ASSERT_EQ(inner_calls.size(), 1u);
+    EXPECT_EQ(inner_calls[0].first, 0u);
+    EXPECT_EQ(inner_calls[0].second, 1000u);
+    EXPECT_EQ(inner_threads[0], caller);
+    // Only the outer region's helpers (one per worker) ran as tasks.
+    EXPECT_EQ(settledTaskCount(before + pool.size()),
+              before + pool.size());
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "sim/simulation.h"
 #include "state/serializer.h"
 #include "state/sim_snapshot.h"
+#include "thermal/thermal_kernel.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -40,6 +41,16 @@ class ThreadCountGuard
 {
   public:
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
+};
+
+/** Restores the thermal fan-out threshold a test lowers. */
+class ThresholdGuard
+{
+  public:
+    ~ThresholdGuard() { setThermalParallelThreshold(saved_); }
+
+  private:
+    std::size_t saved_ = thermalParallelThreshold();
 };
 
 std::string
@@ -183,10 +194,13 @@ TEST(ResumeEquivalence, Cluster100BothThreadCounts)
 TEST(ResumeEquivalence, Cluster1000BothThreadCounts)
 {
     ThreadCountGuard guard;
+    ThresholdGuard threshold_guard;
     const std::string path =
         tempSnapshotPath("vmt_resume_1000.snap");
-    // 1,000 servers takes the chunked-parallel thermal path at
-    // threads=4, so this covers checkpointing both execution paths.
+    // Threshold 1: the 1,000 servers take the chunked-parallel thermal
+    // path at threads=4 whatever the default cutover is, so this
+    // covers checkpointing both execution paths.
+    setThermalParallelThreshold(1);
     const SimConfig config = shortRun(1000, 1.0);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -198,8 +212,11 @@ TEST(ResumeEquivalence, Cluster1000BothThreadCounts)
 TEST(ResumeEquivalence, CheckpointThreadCountDoesNotLeakIntoResume)
 {
     ThreadCountGuard guard;
+    ThresholdGuard threshold_guard;
     const std::string path =
         tempSnapshotPath("vmt_resume_cross_threads.snap");
+    // The 4-thread leg fans the thermal step out (threshold 1).
+    setThermalParallelThreshold(1);
     const SimConfig config = shortRun(1000, 1.0);
 
     setGlobalThreadCount(1);

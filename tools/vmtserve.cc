@@ -16,11 +16,13 @@
  *   --policy P             rr | cf | ta | wa | preserve | adaptive
  *                          (default wa)
  *   --gv G                 grouping value              (default 22)
- *   --threshold T          wax threshold               (default 0.98)
+ *   --threshold T          wax threshold in (0, 1]     (default 0.98)
  *   --seed X               run seed                    (default 7)
  *   --threads N            worker threads; 0 = auto    (default 0)
  *   --thermal-parallel-threshold N
- *                          stepThermal fan-out threshold
+ *                          stepThermal fan-out threshold; default
+ *                          from VMT_THERMAL_PARALLEL_THRESHOLD, else
+ *                          8192 (pods below it step serially)
  *
  *   --feed F               synthetic | - (stdin) | FILE (default
  *                          synthetic)
@@ -106,6 +108,7 @@
 #include <iostream>
 #include <memory>
 
+#include "core/policy_factory.h"
 #include "obs/observability.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
@@ -155,7 +158,7 @@ configFromFlags(const Flags &flags)
         static_cast<std::uint64_t>(flags.getInt("seed", 7));
     config.policy = flags.getString("policy", "wa");
     config.gv = flags.getDouble("gv", 22.0);
-    config.waxThreshold = flags.getDouble("threshold", 0.98);
+    config.waxThreshold = waxThresholdFromFlags(flags);
     config.overheatTemp = flags.getDouble("overheat-temp", 45.0);
 
     const long long capacity = flags.getInt("queue-capacity", 65536);

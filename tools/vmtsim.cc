@@ -19,9 +19,10 @@
  *   --thermal-parallel-threshold N
  *                        cluster size at which stepThermal fans out
  *                        on the thread pool; default from
- *                        VMT_THERMAL_PARALLEL_THRESHOLD, else 256
+ *                        VMT_THERMAL_PARALLEL_THRESHOLD, else 8192
  *   --inlet-stddev S     inlet variation sigma in K (default 0)
- *   --cooling-capacity W cooling plant capacity in watts (0 = inf)
+ *   --cooling-capacity W cooling plant capacity in watts, finite and
+ *                        >= 0 (0 = inf)
  *   --trace FILE         load utilization trace CSV (hour,utilization)
  *   --fault-plan FILE    scripted fault events (see docs: lines of
  *                        "<hours> server-down <id>" / "server-up <id>"
@@ -46,7 +47,7 @@
  *   --policy P           rr | cf | ta | wa | preserve | adaptive
  *                        (default wa)
  *   --gv G               grouping value              (default 22)
- *   --threshold T        wax threshold               (default 0.98)
+ *   --threshold T        wax threshold in (0, 1]     (default 0.98)
  *   --out FILE           write per-interval series CSV
  *   --heatmaps PREFIX    write PREFIX_airtemp.csv / PREFIX_melt.csv
  *   --checkpoint-every N snapshot every N completed intervals
@@ -70,6 +71,7 @@
  *   vmtsim sweep --policy ta --gv-from 16 --gv-to 28 --gv-step 1
  */
 
+#include <cmath>
 #include <cstdio>
 #include <initializer_list>
 #include <iostream>
@@ -119,6 +121,11 @@ configFromFlags(const Flags &flags)
     config.inletStddev = flags.getDouble("inlet-stddev", 0.0);
     config.coolingCapacity =
         flags.getDouble("cooling-capacity", 0.0);
+    if (!(std::isfinite(config.coolingCapacity) &&
+          config.coolingCapacity >= 0.0))
+        fatal("--cooling-capacity must be a finite number of "
+              "watts >= 0 (0 = unlimited), got " +
+              flags.getString("cooling-capacity", ""));
     if (flags.has("trace")) {
         const DiurnalTrace loaded =
             loadTraceCsv(flags.getString("trace"));
@@ -186,6 +193,7 @@ int
 cmdRun(const Flags &flags)
 {
     SimConfig config = configFromFlags(flags);
+    const double threshold = waxThresholdFromFlags(flags);
     config.recordHeatmaps = flags.has("heatmaps");
     const std::string heatmaps = flags.getString("heatmaps", "");
     const std::string out = flags.getString("out", "");
@@ -205,8 +213,7 @@ cmdRun(const Flags &flags)
     attachCheckpointing(config, ckpt);
 
     auto sched = makeScheduler(flags.getString("policy", "wa"),
-                            flags.getDouble("gv", 22.0),
-                            flags.getDouble("threshold", 0.98));
+                            flags.getDouble("gv", 22.0), threshold);
     const SimResult result = runSimulation(config, *sched);
     printSummary(result);
 
@@ -228,7 +235,7 @@ cmdCompare(const Flags &flags)
 {
     const SimConfig config = configFromFlags(flags);
     const double gv = flags.getDouble("gv", 22.0);
-    const double threshold = flags.getDouble("threshold", 0.98);
+    const double threshold = waxThresholdFromFlags(flags);
 
     RoundRobinScheduler rr;
     const SimResult base = runSimulation(config, rr);
@@ -262,6 +269,7 @@ cmdSweep(const Flags &flags)
     const double step = flags.getDouble("gv-step", 2.0);
     if (step <= 0.0 || to < from)
         fatal("vmtsim sweep: need gv-from <= gv-to and gv-step > 0");
+    const double threshold = waxThresholdFromFlags(flags);
 
     RoundRobinScheduler rr;
     const SimResult base = runSimulation(config, rr);
@@ -269,8 +277,7 @@ cmdSweep(const Flags &flags)
     Table table("GV sweep, policy " + policy);
     table.setHeader({"GV", "Peak (kW)", "Reduction (%)"});
     for (double gv = from; gv <= to + 1e-9; gv += step) {
-        auto sched =
-            makeScheduler(policy, gv, flags.getDouble("threshold", 0.98));
+        auto sched = makeScheduler(policy, gv, threshold);
         const SimResult r = runSimulation(config, *sched);
         table.addRow({Table::cell(gv, 2),
                       Table::cell(r.peakCoolingLoad / 1e3, 1),
