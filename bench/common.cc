@@ -8,7 +8,6 @@
 #include "sched/coolest_first.h"
 #include "sched/round_robin.h"
 #include "sim/result_io.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/logging.h"
 
@@ -44,14 +43,6 @@ configureThreadsFromArgs(int argc, const char *const *argv)
     if (threads < 0)
         fatal("--threads must be >= 0 (0 = auto)");
     setGlobalThreadCount(static_cast<std::size_t>(threads));
-    if (flags.has("thermal-parallel-threshold")) {
-        const long long threshold =
-            flags.getInt("thermal-parallel-threshold", 0);
-        if (threshold < 0)
-            fatal("--thermal-parallel-threshold must be >= 0");
-        setThermalParallelThreshold(
-            static_cast<std::size_t>(threshold));
-    }
 }
 
 SimConfig

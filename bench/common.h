@@ -44,12 +44,10 @@ struct SweepObsHandles
 SweepObsHandles sweepObsHandles();
 
 /**
- * Parse the shared bench flags (--threads N, default VMT_THREADS /
- * hardware concurrency; --thermal-parallel-threshold N, default
- * VMT_THERMAL_PARALLEL_THRESHOLD) and configure the global pool and
- * the thermal fan-out threshold accordingly. Call first thing in a
- * bench main(); unknown flags are left alone for the bench's own
- * parsing.
+ * Parse the shared bench flag --threads N (default VMT_THREADS /
+ * hardware concurrency) and size the global pool accordingly. Call
+ * first thing in a bench main(); unknown flags are left alone for
+ * the bench's own parsing.
  */
 void configureThreadsFromArgs(int argc, const char *const *argv);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <span>
 #include <utility>
@@ -201,7 +200,7 @@ ShardedDriver::Shard::Shard(std::size_t num_servers,
     : cluster(num_servers, config.spec, config.thermal, power),
       scheduler(makeScheduler(config.policy, config.gv,
                               config.waxThreshold)),
-      departures(config.interval), jobsAt(num_servers)
+      jobs(num_servers, config.interval)
 {}
 
 ShardedDriver::ShardedDriver(const ServeConfig &config)
@@ -255,30 +254,6 @@ ShardedDriver::ShardedDriver(const ServeConfig &config)
 }
 
 void
-ShardedDriver::drainDepartures(Shard &shard, Seconds now)
-{
-    shard.departures.drainDue(now, [&shard](std::uint32_t slot) {
-        const SimActiveJob &job = shard.slots[slot];
-        // Tombstones (evacuated jobs whose slot waits for its
-        // original departure) free silently.
-        if (job.serverId != kNoServer) {
-            shard.cluster.removeJob(job.serverId, job.type);
-            auto &ids =
-                shard.jobsAt[job.serverId][workloadIndex(job.type)];
-            const std::uint32_t pos = job.pos;
-            if (pos >= ids.size() || ids[pos] != slot)
-                panic("serve: job missing from server index");
-            const std::uint32_t moved = ids.back();
-            ids[pos] = moved;
-            shard.slots[moved].pos = pos;
-            ids.pop_back();
-            ++shard.completedThisInterval;
-        }
-        shard.freeSlots.push_back(slot);
-    });
-}
-
-void
 ShardedDriver::faultPhase(Shard &shard, Seconds now)
 {
     shard.evacBatch.clear();
@@ -309,23 +284,15 @@ ShardedDriver::faultPhase(Shard &shard, Seconds now)
     shard.scheduler->beginInterval(shard.cluster, now);
 
     // Drain every job resident on a newly failed server into the
-    // refugee list, tombstoning its slot (the departure queue has no
-    // removal; the slot frees when the original departure fires).
-    // The refugee keeps its absolute departure time, so a migrated
-    // job finishes exactly when it would have.
-    for (const std::size_t from : evacuating) {
-        for (const WorkloadType type : kAllWorkloads) {
-            auto &ids = shard.jobsAt[from][workloadIndex(type)];
-            while (!ids.empty()) {
-                const std::uint32_t slot = ids.back();
-                ids.pop_back();
-                shard.cluster.removeJob(from, type);
-                shard.slots[slot].serverId = kNoServer;
-                shard.evacBatch.push_back(Job{0, type, 0.0});
-                shard.evacDue.push_back(shard.slotDue[slot]);
-            }
-        }
-    }
+    // refugee list, tombstoning its slot (it frees when the original
+    // departure fires). The refugee keeps its absolute departure
+    // time, so a migrated job finishes exactly when it would have.
+    shard.jobs.evacuate(evacuating, shard.cluster,
+                        [&shard](std::uint32_t, WorkloadType type,
+                                 Seconds due) {
+                            shard.evacBatch.push_back(Job{0, type, 0.0});
+                            shard.evacDue.push_back(due);
+                        });
     shard.evacuatedThisInterval = shard.evacBatch.size();
 
     // Routing capacity for refugees and admissions: free cores on Up
@@ -339,27 +306,6 @@ ShardedDriver::faultPhase(Shard &shard, Seconds now)
             free += srv.freeCores();
     }
     shard.schedulableFree = free;
-}
-
-void
-ShardedDriver::bindJob(Shard &shard, std::size_t server,
-                       WorkloadType type, Seconds due)
-{
-    auto &ids = shard.jobsAt[server][workloadIndex(type)];
-    const auto pos = static_cast<std::uint32_t>(ids.size());
-    std::uint32_t slot;
-    if (!shard.freeSlots.empty()) {
-        slot = shard.freeSlots.back();
-        shard.freeSlots.pop_back();
-        shard.slots[slot] = SimActiveJob{server, type, pos};
-        shard.slotDue[slot] = due;
-    } else {
-        slot = static_cast<std::uint32_t>(shard.slots.size());
-        shard.slots.push_back(SimActiveJob{server, type, pos});
-        shard.slotDue.push_back(due);
-    }
-    ids.push_back(slot);
-    shard.departures.schedule(due, slot);
 }
 
 void
@@ -379,7 +325,7 @@ ShardedDriver::placeEvac(Shard &shard)
             shard.evacFailDue.push_back(shard.evacDue[k]);
             continue;
         }
-        bindJob(shard, id, type, shard.evacDue[k]);
+        shard.jobs.bind(id, type, shard.evacDue[k]);
         ++shard.migratedThisInterval;
     }
 }
@@ -487,7 +433,7 @@ ShardedDriver::placeBatch(Shard &shard, Seconds now)
             ++shard.unplacedThisInterval;
             continue;
         }
-        bindJob(shard, id, job.type, now + job.duration);
+        shard.jobs.bind(id, job.type, now + job.duration);
         ++shard.placedThisInterval;
     }
 }
@@ -704,11 +650,12 @@ ShardedDriver::run(JobFeed &feed,
                         [&](std::size_t begin, std::size_t end) {
                             for (std::size_t s = begin; s < end; ++s) {
                                 Shard &shard = shards_[s];
-                                shard.completedThisInterval = 0;
                                 shard.placedThisInterval = 0;
                                 shard.unplacedThisInterval = 0;
                                 shard.batch.clear();
-                                drainDepartures(shard, now);
+                                shard.completedThisInterval =
+                                    shard.jobs.drainDue(now,
+                                                        shard.cluster);
                                 if (degraded_)
                                     faultPhase(shard, now);
                             }
@@ -1068,7 +1015,7 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     ingr.putU64(overheated_);
 
     // SHRD: the full shard map — per shard, the cluster, the policy
-    // and the QUEU-style job bookkeeping (see saveShard). Each shard
+    // and the job table (the batch QUEU encoding). Each shard
     // encodes and checksums its own part on the pool; the container
     // concatenates the parts in shard order, so the section is
     // byte-identical at any thread count.
@@ -1078,9 +1025,11 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     parallelFor(globalPool(), 0, shards_.size(), 1,
                 [&](std::size_t begin, std::size_t end) {
                     for (std::size_t s = begin; s < end; ++s) {
-                        SnapshotPart &part = shrd[s + 1];
-                        saveShard(shards_[s], part.out());
-                        part.seal();
+                        Serializer &out = shrd[s + 1].out();
+                        shards_[s].cluster.saveState(out);
+                        shards_[s].scheduler->saveState(out);
+                        shards_[s].jobs.save(out);
+                        shrd[s + 1].seal();
                     }
                 });
 
@@ -1129,38 +1078,6 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
                 shard.faults->saveState(dgrd, shard.cluster);
         }
     }
-}
-
-void
-ShardedDriver::saveShard(const Shard &shard, Serializer &out)
-{
-    // Per-slot departure times are NOT stored: loadCheckpoint
-    // rebuilds them from the departure entries, keeping this layout
-    // identical to the pre-fault driver's.
-    shard.cluster.saveState(out);
-    shard.scheduler->saveState(out);
-    out.putSize(shard.slots.size());
-    for (const SimActiveJob &job : shard.slots) {
-        out.putSize(job.serverId);
-        out.putU8(static_cast<std::uint8_t>(job.type));
-        out.putU32(job.pos);
-    }
-    out.putSize(shard.freeSlots.size());
-    for (std::uint32_t slot : shard.freeSlots)
-        out.putU32(slot);
-    for (const auto &per_server : shard.jobsAt) {
-        for (const auto &ids : per_server) {
-            out.putSize(ids.size());
-            for (std::uint32_t slot : ids)
-                out.putU32(slot);
-        }
-    }
-    out.putSize(shard.departures.size());
-    shard.departures.visitPending(
-        [&out](Seconds time, std::uint32_t slot) {
-            out.putDouble(time);
-            out.putU32(slot);
-        });
 }
 
 std::size_t
@@ -1237,57 +1154,7 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     for (Shard &shard : shards_) {
         shard.cluster.loadState(shrd);
         shard.scheduler->loadState(shrd);
-        const std::size_t slot_count = shrd.getSize();
-        shard.slots.clear();
-        shard.slots.reserve(slot_count);
-        for (std::size_t i = 0; i < slot_count; ++i) {
-            SimActiveJob job;
-            job.serverId = shrd.getSize();
-            const std::uint8_t type = shrd.getU8();
-            if (type >= kNumWorkloads)
-                fatal("serve snapshot job slot has invalid workload "
-                      "type");
-            job.type = static_cast<WorkloadType>(type);
-            job.pos = shrd.getU32();
-            shard.slots.push_back(job);
-        }
-        const std::size_t free_count = shrd.getSize();
-        shard.freeSlots.clear();
-        shard.freeSlots.reserve(free_count);
-        for (std::size_t i = 0; i < free_count; ++i)
-            shard.freeSlots.push_back(shrd.getU32());
-        for (auto &per_server : shard.jobsAt) {
-            for (auto &ids : per_server) {
-                const std::size_t count = shrd.getSize();
-                ids.clear();
-                ids.reserve(count);
-                for (std::size_t i = 0; i < count; ++i)
-                    ids.push_back(shrd.getU32());
-            }
-        }
-        const std::size_t pending = shrd.getSize();
-        // Pin the rebuilt queue's drain front to the resume point,
-        // then re-schedule in saved pop order — the stable per-bucket
-        // sort keeps each tie group in that order, reproducing the
-        // original tie-breaks. The per-slot departure times rebuild from the
-        // same entries.
-        shard.departures.restoreFront(resume_time);
-        shard.slotDue.assign(shard.slots.size(), 0.0);
-        for (std::size_t i = 0; i < pending; ++i) {
-            const Seconds time = shrd.getDouble();
-            // IntervalQueue buckets a time by converting it to an
-            // integer; NaN or infinity would make that undefined.
-            if (!std::isfinite(time) || time < 0.0)
-                fatal("serve snapshot departure time " +
-                      std::to_string(time) +
-                      " is not a finite non-negative number");
-            const std::uint32_t slot = shrd.getU32();
-            if (slot >= shard.slots.size())
-                fatal("serve snapshot departure references an "
-                      "invalid job slot");
-            shard.departures.schedule(time, slot);
-            shard.slotDue[slot] = time;
-        }
+        shard.jobs.load(shrd, resume_time);
     }
     shrd.expectEnd();
 

@@ -45,7 +45,6 @@
 #ifndef VMT_SERVE_SHARDED_DRIVER_H
 #define VMT_SERVE_SHARDED_DRIVER_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -64,8 +63,7 @@
 #include "serve/waterfill.h"
 #include "server/cluster.h"
 #include "server/server_spec.h"
-#include "sim/interval_queue.h"
-#include "sim/simulation.h"
+#include "sim/job_table.h"
 #include "thermal/thermal_params.h"
 #include "util/units.h"
 
@@ -289,22 +287,8 @@ class ShardedDriver
 
         Cluster cluster;
         std::unique_ptr<Scheduler> scheduler;
-        /** Pending departures, payload = slot index (shard-local). */
-        IntervalQueue<std::uint32_t> departures;
-        /** Slot table + freelist + per-(server, workload) residency,
-         *  exactly the batch driver's bookkeeping, per shard. Slots
-         *  whose serverId is kNoServer are evacuation tombstones:
-         *  the slot stays reserved until its scheduled departure
-         *  fires (the queue has no removal). */
-        std::vector<SimActiveJob> slots;
-        /** Departure time per slot (parallel to `slots`); what a
-         *  refugee's remaining runtime migrates with. Rebuilt from
-         *  the departure queue on load, so the SHRD snapshot layout
-         *  is unchanged. */
-        std::vector<Seconds> slotDue;
-        std::vector<std::uint32_t> freeSlots;
-        std::vector<std::array<std::vector<std::uint32_t>,
-                               kNumWorkloads>> jobsAt;
+        /** Running jobs: the batch driver's JobTable, per shard. */
+        JobTable jobs;
         /** This interval's routed arrivals / placement results. */
         std::vector<Job> batch;
         std::vector<std::size_t> placements;
@@ -339,9 +323,6 @@ class ShardedDriver
         std::uint64_t migratedThisInterval = 0;
     };
 
-    /** Complete a shard's jobs due at or before now (tombstone slots
-     *  free silently). */
-    void drainDepartures(Shard &shard, Seconds now);
     /**
      * Degraded-mode per-shard boundary work (runs inside the
      * departure fan-out): fault-engine step, supply-rise push,
@@ -366,17 +347,10 @@ class ShardedDriver
     /** Deterministic waterfill of @p admitted over shard free cores;
      *  returns the number routed (prefix of @p admitted). */
     std::size_t routeToShards(std::span<const FeedJob> admitted);
-    /** Allocate a slot for a placed job and schedule its departure. */
-    void bindJob(Shard &shard, std::size_t server, WorkloadType type,
-                 Seconds due);
-
     /** Write SCON/FEED/INGR/SHRD[/DGRD]; SHRD's per-shard parts are
-     *  encoded in parallel (saveShard). */
+     *  encoded in parallel. */
     void buildCheckpoint(SnapshotWriter &writer, const JobFeed &feed,
                          std::size_t completed) const;
-    /** One shard's SHRD block: cluster, policy, slot table, free
-     *  list, residency lists, departures in pop order. */
-    static void saveShard(const Shard &shard, Serializer &out);
     std::size_t loadCheckpoint(JobFeed &feed,
                                const std::string &path);
 

@@ -53,16 +53,18 @@ Cluster::Cluster(std::size_t num_servers, const ServerSpec &spec,
     if (!inlet_offsets.empty() && inlet_offsets.size() != num_servers)
         fatal("Cluster inlet_offsets must be empty or one per server");
 
+    // First, so every server's estimator can share its table.
+    soa_ = std::make_unique<ThermalSoA>(thermal, num_servers);
     servers_.reserve(num_servers);
     for (std::size_t i = 0; i < num_servers; ++i) {
         const Kelvin offset =
             inlet_offsets.empty() ? 0.0 : inlet_offsets[i];
-        servers_.emplace_back(i, spec, thermal, offset);
+        servers_.emplace_back(i, spec, thermal, offset,
+                              &soa_->estimator());
     }
     totalCores_ = num_servers * spec.cores();
     aliveServers_ = num_servers;
 
-    soa_ = std::make_unique<ThermalSoA>(thermal, num_servers);
     for (std::size_t i = 0; i < num_servers; ++i)
         servers_[i].bindSoa(soa_.get(), i);
     powerDirty_.assign((num_servers + 63) / 64, 0);

@@ -7,12 +7,16 @@ namespace vmt {
 
 Server::Server(std::size_t id, const ServerSpec &spec,
                const ServerThermalParams &thermal_params,
-               Kelvin inlet_offset)
+               Kelvin inlet_offset,
+               const WaxStateEstimator *table_source)
     : id_(id),
       spec_(spec),
       thermal_(thermal_params, inlet_offset),
-      estimator_(thermal_params.pcm)
-{}
+      estimator_(table_source ? *table_source
+                              : WaxStateEstimator(thermal_params.pcm))
+{
+    estimator_.reset();
+}
 
 void
 Server::addJob(WorkloadType type)

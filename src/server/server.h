@@ -49,10 +49,13 @@ class Server
      * @param spec Hardware configuration.
      * @param thermal_params Thermal constants.
      * @param inlet_offset Per-server inlet temperature deviation.
+     * @param table_source When set, the wax-state estimator shares
+     *        this (same-wax) estimator's table instead of building one.
      */
     Server(std::size_t id, const ServerSpec &spec,
            const ServerThermalParams &thermal_params,
-           Kelvin inlet_offset = 0.0);
+           Kelvin inlet_offset = 0.0,
+           const WaxStateEstimator *table_source = nullptr);
 
     /** Cluster-wide index. */
     std::size_t id() const { return id_; }

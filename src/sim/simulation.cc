@@ -7,7 +7,6 @@
 #include "cooling/cooling_system.h"
 #include "fault/fault_engine.h"
 #include "obs/observability.h"
-#include "sim/interval_queue.h"
 #include "thermal/inlet_model.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -161,33 +160,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         result.meltMap.emplace(config.numServers, trace.size());
     }
 
-    // Running jobs live in a slot table (vector + freelist) rather
-    // than a hash map: departures are the hottest part of the driver
-    // loop, and resolving a slot is one indexed load where the map
-    // cost a hash, a probe and an erase per job. Slots are unique
-    // among live jobs (freed only at departure, reused only after),
-    // so they identify jobs exactly as the old global ids did and
-    // every bookkeeping structure below sees the same sequence of
-    // operations — simulation results are unchanged.
-    IntervalQueue<std::uint32_t> departures(config.interval);
-    std::vector<SimActiveJob> slots;
-    std::vector<std::uint32_t> free_slots;
-    // Per-(server, type) slot index so migrations find a victim in
-    // O(1).
-    std::vector<std::array<std::vector<std::uint32_t>, kNumWorkloads>>
-        jobs_at(config.numServers);
-    const auto index_remove = [&](std::size_t server,
-                                  WorkloadType type,
-                                  std::uint32_t slot) {
-        auto &ids = jobs_at[server][workloadIndex(type)];
-        const std::uint32_t pos = slots[slot].pos;
-        if (pos >= ids.size() || ids[pos] != slot)
-            panic("job missing from server index");
-        const std::uint32_t moved = ids.back();
-        ids[pos] = moved;
-        slots[moved].pos = pos;
-        ids.pop_back();
-    };
+    // Running jobs; each serving shard keeps the same JobTable.
+    JobTable jobs(config.numServers, config.interval);
 
     std::optional<CoolingSystem> plant;
     if (config.coolingCapacity > 0.0) {
@@ -235,9 +209,9 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                     config.interval);
     }
 
-    SimState state{config,       trace.size(), cluster,   generator,
-                   scheduler,    departures,   slots,     free_slots,
-                   jobs_at,      result,       prev_cooling_load,
+    SimState state{config,    trace.size(), cluster,
+                   generator, scheduler,    jobs,
+                   result,    prev_cooling_load,
                    faults ? &*faults : nullptr,
                    o};
 
@@ -271,18 +245,9 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         const Seconds now =
             static_cast<double>(interval) * config.interval;
 
-        // 1. Complete jobs due by now. Slots whose job was lost in an
-        // evacuation (serverId == kNoServer) are tombstones: the slot
-        // stays reserved until its departure fires, so slot ids stay
-        // unique among scheduled departures.
-        departures.drainDue(now, [&](std::uint32_t slot) {
-            const SimActiveJob &job = slots[slot];
-            if (job.serverId != kNoServer) {
-                cluster.removeJob(job.serverId, job.type);
-                index_remove(job.serverId, job.type, slot);
-            }
-            free_slots.push_back(slot);
-        });
+        // 1. Complete jobs due by now (slots of jobs lost in an
+        // evacuation free silently).
+        jobs.drainDue(now, cluster);
 
         // 1b. Apply fault events due at this boundary (server
         // outages/repairs, cooling derates, stochastic draws,
@@ -316,33 +281,19 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
             obs::ScopedPhase timer(prof, dobs.phasePlacementEvac);
             refugees.clear();
             refugee_slots.clear();
-            for (const std::size_t from : evacuating) {
-                for (const WorkloadType type : kAllWorkloads) {
-                    auto &ids = jobs_at[from][workloadIndex(type)];
-                    while (!ids.empty()) {
-                        const std::uint32_t slot = ids.back();
-                        ids.pop_back();
-                        cluster.removeJob(from, type);
-                        refugees.push_back(Job{0, type, 0.0});
-                        refugee_slots.push_back(slot);
-                    }
-                }
-            }
+            jobs.evacuate(evacuating, cluster,
+                          [&](std::uint32_t slot, WorkloadType type,
+                              Seconds) {
+                              refugees.push_back(Job{0, type, 0.0});
+                              refugee_slots.push_back(slot);
+                          });
             scheduler.placeJobs(cluster, refugees, placements);
             for (std::size_t k = 0; k < refugees.size(); ++k) {
-                const std::uint32_t slot = refugee_slots[k];
-                const std::size_t to = placements[k];
-                if (to == kNoServer) {
-                    slots[slot].serverId = kNoServer;
+                if (placements[k] == kNoServer) {
                     ++result.lostJobs;
                     continue;
                 }
-                auto &dest =
-                    jobs_at[to][workloadIndex(refugees[k].type)];
-                slots[slot].serverId = to;
-                slots[slot].pos =
-                    static_cast<std::uint32_t>(dest.size());
-                dest.push_back(slot);
+                jobs.rehome(refugee_slots[k], placements[k]);
                 ++result.evacuatedJobs;
             }
         }
@@ -362,20 +313,9 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                          .hasCapacity())
                     continue;
                 // Any matching job on the source server will do.
-                auto &ids =
-                    jobs_at[req.fromServer][workloadIndex(req.type)];
-                if (ids.empty())
+                if (!jobs.migrate(req.fromServer, req.toServer,
+                                  req.type, cluster))
                     continue;
-                const std::uint32_t slot = ids.back();
-                ids.pop_back();
-                auto &dest =
-                    jobs_at[req.toServer][workloadIndex(req.type)];
-                slots[slot].pos =
-                    static_cast<std::uint32_t>(dest.size());
-                dest.push_back(slot);
-                cluster.removeJob(req.fromServer, req.type);
-                cluster.addJob(req.toServer, req.type);
-                slots[slot].serverId = req.toServer;
                 ++result.migrations;
                 --budget;
             }
@@ -403,20 +343,7 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                     ++result.droppedJobs;
                     continue;
                 }
-                auto &ids = jobs_at[id][workloadIndex(job.type)];
-                const auto pos =
-                    static_cast<std::uint32_t>(ids.size());
-                std::uint32_t slot;
-                if (!free_slots.empty()) {
-                    slot = free_slots.back();
-                    free_slots.pop_back();
-                    slots[slot] = SimActiveJob{id, job.type, pos};
-                } else {
-                    slot = static_cast<std::uint32_t>(slots.size());
-                    slots.push_back(SimActiveJob{id, job.type, pos});
-                }
-                ids.push_back(slot);
-                departures.schedule(now + job.duration, slot);
+                jobs.bind(id, job.type, now + job.duration);
                 ++result.placedJobs;
             }
         }

@@ -126,33 +126,9 @@ saveSnapshot(const SimState &state, std::size_t completed,
     const Cluster &cluster = state.cluster;
     cluster.saveState(writer.section("CLUS"));
 
-    // QUEU: the job slot table (verbatim, including stale freed
-    // entries — they are never read before reuse but keep slot indices
-    // stable), the freelist, the per-(server, workload) residency
-    // lists and the pending departures in pop order.
-    Serializer &queue = writer.section("QUEU");
-    queue.putSize(state.slots.size());
-    for (const SimActiveJob &job : state.slots) {
-        queue.putSize(job.serverId);
-        queue.putU8(static_cast<std::uint8_t>(job.type));
-        queue.putU32(job.pos);
-    }
-    queue.putSize(state.freeSlots.size());
-    for (std::uint32_t slot : state.freeSlots)
-        queue.putU32(slot);
-    for (const auto &per_server : state.jobsAt) {
-        for (const auto &ids : per_server) {
-            queue.putSize(ids.size());
-            for (std::uint32_t slot : ids)
-                queue.putU32(slot);
-        }
-    }
-    queue.putSize(state.departures.size());
-    state.departures.visitPending(
-        [&queue](Seconds time, std::uint32_t slot) {
-            queue.putDouble(time);
-            queue.putU32(slot);
-        });
+    // QUEU: the running-job table (sim/job_table.h) — slots, free
+    // list, residency lists and pending departures in pop order.
+    state.jobs.save(writer.section("QUEU"));
 
     state.scheduler.saveState(writer.section("SCHD"));
 
@@ -267,47 +243,8 @@ loadSnapshot(SimState &state, const std::string &path)
     clus.expectEnd();
 
     Deserializer queue = reader.section("QUEU");
-    const std::size_t slot_count = queue.getSize();
-    state.slots.clear();
-    state.slots.reserve(slot_count);
-    for (std::size_t i = 0; i < slot_count; ++i) {
-        SimActiveJob job;
-        job.serverId = queue.getSize();
-        const std::uint8_t type = queue.getU8();
-        if (type >= kNumWorkloads)
-            fatal("snapshot job slot has invalid workload type");
-        job.type = static_cast<WorkloadType>(type);
-        job.pos = queue.getU32();
-        state.slots.push_back(job);
-    }
-    const std::size_t free_count = queue.getSize();
-    state.freeSlots.clear();
-    state.freeSlots.reserve(free_count);
-    for (std::size_t i = 0; i < free_count; ++i)
-        state.freeSlots.push_back(queue.getU32());
-    for (auto &per_server : state.jobsAt) {
-        for (auto &ids : per_server) {
-            const std::size_t count = queue.getSize();
-            ids.clear();
-            ids.reserve(count);
-            for (std::size_t i = 0; i < count; ++i)
-                ids.push_back(queue.getU32());
-        }
-    }
-    const std::size_t pending = queue.getSize();
-    // Pin the rebuilt queue's drain front to the resume point, then
-    // re-schedule in saved pop order: the stable per-bucket sort
-    // keeps each tie group in that order, reproducing the original
-    // tie-breaks.
-    state.departures.restoreFront(static_cast<double>(completed) *
-                                  config.interval);
-    for (std::size_t i = 0; i < pending; ++i) {
-        const Seconds time = queue.getDouble();
-        const std::uint32_t slot = queue.getU32();
-        if (slot >= state.slots.size())
-            fatal("snapshot departure references an invalid job slot");
-        state.departures.schedule(time, slot);
-    }
+    state.jobs.load(queue,
+                    static_cast<double>(completed) * config.interval);
     queue.expectEnd();
 
     Deserializer sched = reader.section("SCHD");

@@ -1,9 +1,7 @@
 /**
  * @file
- * Process-wide thermal-execution knob: the cluster size at or above
- * which Cluster::stepThermal fans the batched SoA kernel out on the
- * global thread pool (historically the compile-time
- * kThermalParallelThreshold).
+ * The cluster size at or above which Cluster::stepThermal fans the
+ * batched SoA kernel out on the global thread pool.
  */
 
 #ifndef VMT_THERMAL_THERMAL_KERNEL_H
@@ -27,16 +25,16 @@ inline constexpr std::size_t kThermalParallelThreshold = 8192;
 
 /**
  * Cluster size at or above which stepThermal()/the SoA chunk loop use
- * the thread pool (when it has more than one thread). Resolved, in
- * priority order, from setThermalParallelThreshold() (the
- * --thermal-parallel-threshold flag), VMT_THERMAL_PARALLEL_THRESHOLD,
- * then kThermalParallelThreshold. The threshold affects
- * scheduling only, never values: chunk boundaries and reductions are
- * independent of where the crossover sits.
+ * the thread pool (when it has more than one thread):
+ * kThermalParallelThreshold unless setThermalParallelThreshold()
+ * moved it. The threshold affects scheduling only, never values:
+ * chunk boundaries and reductions are independent of where the
+ * crossover sits.
  */
 std::size_t thermalParallelThreshold();
 
-/** Override the process-wide threshold (0 = parallelize always). */
+/** Move the threshold (0 = parallelize always); tests and
+ *  bench/perf_kernel's crossover table reach either path with it. */
 void setThermalParallelThreshold(std::size_t threshold);
 
 } // namespace vmt

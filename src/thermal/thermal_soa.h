@@ -159,6 +159,8 @@ class ThermalSoA
 
     const PcmDerived &derived() const { return derived_; }
     const ServerThermalParams &params() const { return params_; }
+    /** Owns the fleet's one estimator table (servers copy it). */
+    const WaxStateEstimator &estimator() const { return sharedEstimator_; }
 
   private:
     void stepChunkClosed(std::size_t begin, std::size_t end);

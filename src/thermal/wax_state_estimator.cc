@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -22,12 +23,14 @@ WaxStateEstimator::WaxStateEstimator(const PcmParams &params,
     // 2 G (T_container - T_melt) — hence the factor of two.
     const auto buckets =
         static_cast<std::size_t>(std::ceil(2.0 * span / bucket_width)) + 1;
-    table_.reserve(buckets);
+    std::vector<Watts> table;
+    table.reserve(buckets);
     for (std::size_t i = 0; i < buckets; ++i) {
         const Kelvin center =
             -span + (static_cast<double>(i) + 0.5) * bucket_width;
-        table_.push_back(2.0 * params.conductance * center);
+        table.push_back(2.0 * params.conductance * center);
     }
+    table_ = std::make_shared<const std::vector<Watts>>(std::move(table));
 }
 
 void
@@ -40,8 +43,8 @@ WaxStateEstimator::update(Celsius container_temp, Seconds dt)
     // container; while melting/freezing the wax side sits at the
     // melting temperature, so the delta to the melting point indexes
     // the flow table. Outside the transition the estimate saturates.
-    waxEstimatorIntegrate(estimatedEnthalpy_, table_.data(),
-                          table_.size(), bucketWidth_, span_,
+    waxEstimatorIntegrate(estimatedEnthalpy_, table_->data(),
+                          table_->size(), bucketWidth_, span_,
                           params_.latentCapacity(), params_.meltTemp,
                           container_temp, dt);
 }

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "thermal/thermal_params.h"
@@ -31,8 +32,8 @@ namespace vmt {
  * source of the update expression — WaxStateEstimator::update and the
  * batched ThermalSoA kernel both evaluate this, so per-object and SoA
  * estimates are bitwise identical. The table is a pure function of
- * (PcmParams, bucket_width, span), so identical servers can share one
- * table (the SoA kernel does; per-object estimators keep their own).
+ * (PcmParams, bucket_width, span), so identical servers share one
+ * table (copies of an estimator share it).
  *
  * @param estimated_enthalpy Integrated estimate, advanced in place.
  */
@@ -126,11 +127,11 @@ class WaxStateEstimator
     }
 
     /** Number of table buckets (for introspection/tests). */
-    std::size_t tableSize() const { return table_.size(); }
+    std::size_t tableSize() const { return table_->size(); }
 
     /** The flow table itself (shared-table construction in the SoA
      *  kernel; see waxEstimatorIntegrate). */
-    const std::vector<Watts> &table() const { return table_; }
+    const std::vector<Watts> &table() const { return *table_; }
 
     /** Quantization width the table was built with. */
     Kelvin bucketWidth() const { return bucketWidth_; }
@@ -142,8 +143,8 @@ class WaxStateEstimator
     PcmParams params_;
     Kelvin bucketWidth_;
     Kelvin span_;
-    /** Heat-flow estimate (W) per quantized temperature-delta bucket. */
-    std::vector<Watts> table_;
+    /** Heat-flow estimate (W) per bucket; immutable, copies share it. */
+    std::shared_ptr<const std::vector<Watts>> table_;
     Joules estimatedEnthalpy_ = 0.0;
 };
 

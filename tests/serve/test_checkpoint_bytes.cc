@@ -45,25 +45,28 @@ struct ShardedDriverTestPeer
         for (const ShardedDriver::Shard &shard : driver.shards_) {
             shard.cluster.saveState(out);
             shard.scheduler->saveState(out);
-            out.putSize(shard.slots.size());
-            for (const SimActiveJob &job : shard.slots) {
+            const JobTable &jobs = shard.jobs;
+            out.putSize(jobs.slots().size());
+            for (const SimActiveJob &job : jobs.slots()) {
                 out.putSize(job.serverId);
                 out.putU8(static_cast<std::uint8_t>(job.type));
                 out.putU32(job.pos);
             }
-            out.putSize(shard.freeSlots.size());
-            for (std::uint32_t slot : shard.freeSlots)
+            out.putSize(jobs.freeList().size());
+            for (std::uint32_t slot : jobs.freeList())
                 out.putU32(slot);
-            for (const auto &per_server : shard.jobsAt) {
-                for (const auto &ids : per_server) {
+            for (std::size_t server = 0;
+                 server < shard.cluster.numServers(); ++server) {
+                for (const WorkloadType type : kAllWorkloads) {
+                    const auto &ids = jobs.residents(server, type);
                     out.putSize(ids.size());
                     for (std::uint32_t slot : ids)
                         out.putU32(slot);
                 }
             }
             // Pop order is the documented visit order; drain a copy.
-            out.putSize(shard.departures.size());
-            IntervalQueue<std::uint32_t> pending = shard.departures;
+            out.putSize(jobs.departures().size());
+            IntervalQueue<std::uint32_t> pending = jobs.departures();
             while (!pending.empty()) {
                 out.putDouble(pending.nextTime());
                 out.putU32(pending.pop());

@@ -720,6 +720,81 @@ TEST(ResumeMismatch, CorruptDepartureTimeIsFatal)
     }
 }
 
+/**
+ * Write the 20-server reference snapshot, patch its QUEU section (the
+ * batch job table) with `edit` and return the FatalError message of
+ * resuming from it.
+ */
+std::string
+corruptBatchQueueMessage(
+    const char *name,
+    const std::function<void(std::uint8_t *, std::size_t)> &edit)
+{
+    const std::string path = writeReferenceSnapshot(name);
+    patchSection(path, "QUEU", edit);
+    const SimConfig config = shortRun(20, 0.2);
+    VmtWaScheduler sched = waScheduler();
+    std::string message =
+        fatalMessage([&] { tryResume(config, sched, path); });
+    std::remove(path.c_str());
+    return message;
+}
+
+/**
+ * The batch QUEU section goes through the same job-table decoder as
+ * a serving shard: its last pending departure's time (12 bytes from
+ * the end) is refused when NaN, infinite or negative, before it
+ * reaches the calendar's bucket conversion.
+ */
+TEST(ResumeMismatch, CorruptBatchDepartureTimeIsFatal)
+{
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -1.0}) {
+        SCOPED_TRACE(std::to_string(bad));
+        EXPECT_NE(corruptBatchQueueMessage(
+                      "vmt_corrupt_queu_departure.snap",
+                      [&](std::uint8_t *payload, std::size_t length) {
+                          putDoubleAt(payload + length - 12, bad);
+                      })
+                      .find("is not a finite non-negative number"),
+                  std::string::npos);
+    }
+}
+
+/**
+ * QUEU stores the slot table, the free list, then one residency list
+ * per (server, workload). A residency entry naming a slot past the
+ * table is refused by name instead of indexing past it.
+ */
+TEST(ResumeMismatch, CorruptBatchResidencySlotIsFatal)
+{
+    const auto point_past_table = [](std::uint8_t *payload,
+                                     std::size_t length) {
+        Deserializer queue(payload, length);
+        const std::size_t slots = queue.getSize();
+        for (std::size_t i = 0; i < slots; ++i) {
+            queue.getSize(); // server
+            queue.getU8();   // workload
+            queue.getU32();  // position
+        }
+        const std::size_t free_count = queue.getSize();
+        for (std::size_t i = 0; i < free_count; ++i)
+            queue.getU32();
+        // Skip the empty lists; patch the first entry of the first
+        // non-empty one.
+        while (queue.getSize() == 0)
+            continue;
+        const auto past = static_cast<std::uint32_t>(slots);
+        std::memcpy(payload + length - queue.remaining(), &past,
+                    sizeof past);
+    };
+    EXPECT_NE(corruptBatchQueueMessage("vmt_corrupt_queu_residency.snap",
+                                       point_past_table)
+                  .find("residency list references job slot"),
+              std::string::npos);
+}
+
 TEST(ResumeMismatch, ShorterRunThanCompletedIntervalsIsFatal)
 {
     const std::string path =

@@ -43,6 +43,19 @@ TEST(WaxStateEstimator, TableCoversConfiguredSpan)
     EXPECT_EQ(est.tableSize(), 81u);
 }
 
+/** A copy shares the immutable lookup table (a Cluster's servers
+ *  copy its SoA kernel's estimator) but integrates on its own. */
+TEST(WaxStateEstimator, CopiesShareTheTableNotTheEstimate)
+{
+    WaxStateEstimator original(wax());
+    WaxStateEstimator copy = original;
+    EXPECT_EQ(&copy.table(), &original.table());
+    for (int i = 0; i < 30; ++i)
+        copy.update(40.0, 60.0);
+    EXPECT_GT(copy.estimate(), 0.0);
+    EXPECT_DOUBLE_EQ(original.estimate(), 0.0);
+}
+
 TEST(WaxStateEstimator, ColdReadingsKeepEstimateAtZero)
 {
     WaxStateEstimator est(wax());

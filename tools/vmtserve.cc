@@ -19,10 +19,6 @@
  *   --threshold T          wax threshold in (0, 1]     (default 0.98)
  *   --seed X               run seed                    (default 7)
  *   --threads N            worker threads; 0 = auto    (default 0)
- *   --thermal-parallel-threshold N
- *                          stepThermal fan-out threshold; default
- *                          from VMT_THERMAL_PARALLEL_THRESHOLD, else
- *                          8192 (pods below it step serially)
  *
  *   --feed F               synthetic | - (stdin) | FILE (default
  *                          synthetic)
@@ -112,7 +108,6 @@
 #include "obs/observability.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -316,15 +311,6 @@ main(int argc, char **argv)
         if (threads < 0)
             fatal("vmtserve: --threads must be >= 0 (0 = auto)");
         setGlobalThreadCount(static_cast<std::size_t>(threads));
-        if (flags.has("thermal-parallel-threshold")) {
-            const long long threshold =
-                flags.getInt("thermal-parallel-threshold", 0);
-            if (threshold < 0)
-                fatal("vmtserve: --thermal-parallel-threshold must "
-                      "be >= 0");
-            setThermalParallelThreshold(
-                static_cast<std::size_t>(threshold));
-        }
 
         const ServeConfig config = configFromFlags(flags);
         std::unique_ptr<JobFeed> feed = feedFromFlags(flags, config);

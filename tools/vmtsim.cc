@@ -16,10 +16,6 @@
  *   --seed X             run seed                   (default 7)
  *   --threads N          worker threads; 0 = auto from VMT_THREADS
  *                        or hardware concurrency    (default 0)
- *   --thermal-parallel-threshold N
- *                        cluster size at which stepThermal fans out
- *                        on the thread pool; default from
- *                        VMT_THERMAL_PARALLEL_THRESHOLD, else 8192
  *   --inlet-stddev S     inlet variation sigma in K (default 0)
  *   --cooling-capacity W cooling plant capacity in watts, finite and
  *                        >= 0 (0 = inf)
@@ -86,7 +82,6 @@
 #include "sim/result_io.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
@@ -358,9 +353,8 @@ cmdTrace(const Flags &flags)
 std::set<std::string>
 knownFlags(const std::string &command)
 {
-    std::set<std::string> known = {"threads",
-                                   "thermal-parallel-threshold",
-                                   "metrics-out", "trace-events"};
+    std::set<std::string> known = {"threads", "metrics-out",
+                                   "trace-events"};
     const auto add =
         [&known](std::initializer_list<const char *> names) {
             known.insert(names.begin(), names.end());
@@ -425,15 +419,6 @@ main(int argc, char **argv)
         if (threads < 0)
             fatal("vmtsim: --threads must be >= 0 (0 = auto)");
         setGlobalThreadCount(static_cast<std::size_t>(threads));
-        if (flags.has("thermal-parallel-threshold")) {
-            const long long threshold =
-                flags.getInt("thermal-parallel-threshold", 0);
-            if (threshold < 0)
-                fatal("vmtsim: --thermal-parallel-threshold must be "
-                      ">= 0");
-            setThermalParallelThreshold(
-                static_cast<std::size_t>(threshold));
-        }
 
         int rc;
         if (command == "run")
