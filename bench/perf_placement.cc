@@ -17,6 +17,12 @@
  * engines' decision sequences are asserted identical — a perf number
  * from a diverged run would be meaningless.
  *
+ * One extra row, `wa-saturated`, is a serving pod at peak: 256
+ * servers at >= 95% busy and 200 arrivals per interval, so VMT-WA's
+ * hot group fills within the batch and the remaining hot jobs go
+ * through its fallback cascade steps (3)/(4) — or miss after probing
+ * the whole pod. It is printed and spliced, never gated.
+ *
  * Flags: --check             exit non-zero unless the batched engine
  *                            is >= 2.5x scalar (geomean over the
  *                            cluster1000 rate-32 rows — the interval-
@@ -114,10 +120,12 @@ struct Row
  * load profile (some servers full, some idle), an inlet gradient, and
  * enough warm-up that part of the fleet is melted and part frozen —
  * so WA/Preserve exercise every partition branch. Deterministic, and
- * independent of the scheduler (none is involved).
+ * independent of the scheduler (none is involved). `saturated`
+ * replaces the sawtooth with every other server full and the rest one
+ * core short (98% busy).
  */
 std::unique_ptr<Cluster>
-makeSteadyCluster(std::size_t servers)
+makeSteadyCluster(std::size_t servers, bool saturated = false)
 {
     const SimConfig config = bench::studyConfig(servers);
     auto cluster = std::make_unique<Cluster>(
@@ -126,7 +134,8 @@ makeSteadyCluster(std::size_t servers)
 
     const std::size_t cores = config.spec.cores();
     for (std::size_t id = 0; id < servers; ++id) {
-        const std::size_t load = (id * 7 + 3) % (cores + 1);
+        const std::size_t load =
+            saturated ? cores - id % 2 : (id * 7 + 3) % (cores + 1);
         for (std::size_t c = 0; c < load; ++c)
             cluster->addJob(id, kAllWorkloads[c % kNumWorkloads]);
         cluster->setBaseInlet(
@@ -179,6 +188,64 @@ timeIntervals(const MakeScheduler &make, Cluster &cluster,
         decisions.insert(decisions.end(), out.begin(), out.end());
     }
     return std::chrono::duration<double>(elapsed).count();
+}
+
+/**
+ * Time one point, scalar reference first, then the production
+ * scheduler, appending a row for each; `label` names the rows. False
+ * (after a message) when the engines' decisions diverge.
+ */
+bool
+timePoint(const Policy &policy, const char *label, Cluster &cluster,
+          std::size_t rate, std::vector<Row> &rows)
+{
+    const std::size_t servers = cluster.numServers();
+    const std::vector<Job> jobs = makeArrivals(rate);
+    // Fixed rep count per point so both engines time the same number
+    // of identical intervals.
+    const std::size_t reps =
+        std::max<std::size_t>(20, 400000 / (servers + 4 * rate));
+    double scalar_rate = 0.0;
+    std::vector<std::size_t> scalar_decisions;
+    for (const bool batched : {false, true}) {
+        const char *engine = batched ? "batched" : "scalar";
+        const MakeScheduler &make =
+            batched ? policy.make : policy.makeReference;
+        std::vector<std::size_t> decisions;
+        // Best of three: the minimum is the least noise-contaminated
+        // estimate of the true cost.
+        double seconds =
+            timeIntervals(make, cluster, jobs, reps, decisions);
+        for (int rep = 0; rep < 2; ++rep) {
+            decisions.clear();
+            seconds = std::min(seconds, timeIntervals(make, cluster, jobs,
+                                                      reps, decisions));
+        }
+        if (!batched) {
+            scalar_decisions = std::move(decisions);
+        } else if (decisions != scalar_decisions) {
+            std::fprintf(stderr,
+                         "[placement_micro] ENGINES DIVERGED: "
+                         "%s servers=%zu rate=%zu\n",
+                         label, servers, rate);
+            return false;
+        }
+        const double interval_rate = static_cast<double>(reps) / seconds;
+        if (!batched)
+            scalar_rate = interval_rate;
+        const double speedup =
+            scalar_rate > 0.0 ? interval_rate / scalar_rate : 1.0;
+        rows.push_back({label, servers, rate, engine,
+                        1e6 * seconds / static_cast<double>(reps),
+                        static_cast<double>(rate) * interval_rate,
+                        speedup});
+        std::printf("[placement_micro] %-12s servers=%-5zu rate=%-4zu "
+                    "engine=%-7s %9.2f us/interval  speedup %.2fx\n",
+                    label, servers, rate, engine,
+                    rows.back().usPerInterval, speedup);
+        std::fflush(stdout);
+    }
+    return true;
 }
 
 /**
@@ -247,70 +314,29 @@ main(int argc, char **argv)
               : std::vector<std::size_t>{32, 256, 2048};
 
     std::vector<Row> rows;
-    double gate_log_sum = 0.0;
-    std::size_t gate_points = 0;
     for (const Policy &policy : policies()) {
         for (const std::size_t servers : fleet_sizes) {
             auto cluster = makeSteadyCluster(servers);
-            for (const std::size_t rate : rates) {
-                const std::vector<Job> jobs = makeArrivals(rate);
-                // Fixed rep count per point so both engines time the
-                // same number of identical intervals.
-                const std::size_t reps = std::max<std::size_t>(
-                    20, 400000 / (servers + 4 * rate));
-                double scalar_rate = 0.0;
-                std::vector<std::size_t> scalar_decisions;
-                for (const bool batched : {false, true}) {
-                    const char *engine = batched ? "batched" : "scalar";
-                    const MakeScheduler &make =
-                        batched ? policy.make : policy.makeReference;
-                    std::vector<std::size_t> decisions;
-                    // Best of three: the minimum is the least
-                    // noise-contaminated estimate of the true cost.
-                    double seconds = timeIntervals(make, *cluster, jobs,
-                                                   reps, decisions);
-                    for (int rep = 0; rep < 2; ++rep) {
-                        decisions.clear();
-                        seconds = std::min(
-                            seconds, timeIntervals(make, *cluster, jobs,
-                                                   reps, decisions));
-                    }
-                    if (!batched) {
-                        scalar_decisions = std::move(decisions);
-                    } else if (decisions != scalar_decisions) {
-                        std::fprintf(
-                            stderr,
-                            "[placement_micro] ENGINES DIVERGED: "
-                            "%s servers=%zu rate=%zu\n",
-                            policy.name, servers, rate);
-                        return 1;
-                    }
-                    const double interval_rate =
-                        static_cast<double>(reps) / seconds;
-                    if (!batched)
-                        scalar_rate = interval_rate;
-                    const double speedup =
-                        scalar_rate > 0.0
-                            ? interval_rate / scalar_rate
-                            : 1.0;
-                    rows.push_back(
-                        {policy.name, servers, rate, engine,
-                         1e6 * seconds / static_cast<double>(reps),
-                         static_cast<double>(rate) * interval_rate,
-                         speedup});
-                    std::printf(
-                        "[placement_micro] %-8s servers=%-5zu "
-                        "rate=%-4zu engine=%-7s %9.2f us/interval  "
-                        "speedup %.2fx\n",
-                        policy.name, servers, rate, engine,
-                        rows.back().usPerInterval, speedup);
-                    std::fflush(stdout);
-                    if (servers == 1000 && rate == 32 && batched) {
-                        gate_log_sum += std::log(speedup);
-                        ++gate_points;
-                    }
-                }
-            }
+            for (const std::size_t rate : rates)
+                if (!timePoint(policy, policy.name, *cluster, rate,
+                               rows))
+                    return 1;
+        }
+    }
+    if (!check) {
+        const Policy wa{"wa", makePolicy<VmtWaScheduler>,
+                        makePolicy<reference::ScalarVmtWa>};
+        auto cluster = makeSteadyCluster(256, true);
+        if (!timePoint(wa, "wa-saturated", *cluster, 200, rows))
+            return 1;
+    }
+    double gate_log_sum = 0.0;
+    std::size_t gate_points = 0;
+    for (const Row &row : rows) {
+        if (row.servers == 1000 && row.rate == 32 &&
+            row.engine == "batched") {
+            gate_log_sum += std::log(row.speedup);
+            ++gate_points;
         }
     }
 

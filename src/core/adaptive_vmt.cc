@@ -115,4 +115,10 @@ AdaptiveVmtScheduler::loadState(Deserializer &in)
     downBudget_ = in.getDouble();
 }
 
+void
+AdaptiveVmtScheduler::checkLoadedState(const Cluster &cluster) const
+{
+    inner_.checkLoadedState(cluster);
+}
+
 } // namespace vmt

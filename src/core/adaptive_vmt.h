@@ -89,6 +89,7 @@ class AdaptiveVmtScheduler : public Scheduler
      *  latch and remaining daily budgets. */
     void saveState(Serializer &out) const override;
     void loadState(Deserializer &in) override;
+    void checkLoadedState(const Cluster &cluster) const override;
 
   private:
     VmtWaScheduler inner_;

@@ -1,6 +1,7 @@
 #include "core/vmt_wa.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "state/serializer.h"
@@ -112,14 +113,32 @@ VmtWaScheduler::beginInterval(Cluster &cluster, Seconds)
     coldGroup_.assignKeys(key, hotSize_, n);
 
     meltedCursor_ = 0;
+    maskCluster_ = nullptr;
     initialized_ = true;
+}
+
+void
+VmtWaScheduler::refreshFallbackMasks(const Cluster &cluster)
+{
+    if (maskCluster_ == &cluster &&
+        maskEpoch_ == cluster.capacityEpoch())
+        return;
+    const std::size_t n = cluster.numServers();
+    openFallback_.assign(n, [&](std::size_t id) {
+        return cluster.server(id).hasCapacity();
+    });
+    coolFallback_.assign(n, [&](std::size_t id) {
+        const Server &srv = cluster.server(id);
+        return srv.hasCapacity() &&
+               srv.estimatedMeltFraction() < config_.waxThreshold;
+    });
+    maskCluster_ = &cluster;
+    maskEpoch_ = cluster.capacityEpoch();
 }
 
 std::size_t
 VmtWaScheduler::placeHot(Cluster &cluster, Watts watts)
 {
-    const std::size_t n = cluster.numServers();
-
     // (0) Melted servers that need load to stay above the melting
     // point; refreezing them mid-peak would release stored heat.
     std::size_t id = keepWarm_.placeIfBelow(cluster, watts,
@@ -148,24 +167,31 @@ VmtWaScheduler::placeHot(Cluster &cluster, Watts watts)
         }
     }
 
-    // (3) Any server below the melted threshold with capacity.
-    for (std::size_t probes = 0; probes < n; ++probes) {
-        const std::size_t cand = anyCursor_;
-        anyCursor_ = (anyCursor_ + 1) % n;
-        const Server &srv = std::as_const(cluster).server(cand);
+    // (3) Any server below the melted threshold with capacity, then
+    // (4) any remaining server: one shared round-robin cursor over
+    // the fallback masks, which skip whole words of servers that
+    // cannot qualify. Within an unmoved capacity epoch a server only
+    // loses capacity, so a bit can only be stale towards "set"; the
+    // check below clears it. Decisions and cursor are those of a
+    // probe per server.
+    refreshFallbackMasks(cluster);
+    const Cluster &view = cluster;
+    id = coolFallback_.circularScan(anyCursor_, [&](std::size_t cand) {
+        const Server &srv = view.server(cand);
         if (srv.hasCapacity() &&
             srv.estimatedMeltFraction() < config_.waxThreshold)
-            return cand;
-    }
-
-    // (4) Any remaining server.
-    for (std::size_t probes = 0; probes < n; ++probes) {
-        const std::size_t cand = anyCursor_;
-        anyCursor_ = (anyCursor_ + 1) % n;
-        if (std::as_const(cluster).server(cand).hasCapacity())
-            return cand;
-    }
-    return kNoServer;
+            return true;
+        coolFallback_.reset(cand);
+        return false;
+    });
+    if (id != kNoServer)
+        return id;
+    return openFallback_.circularScan(anyCursor_, [&](std::size_t cand) {
+        if (view.server(cand).hasCapacity())
+            return true;
+        openFallback_.reset(cand);
+        return false;
+    });
 }
 
 std::size_t
@@ -177,15 +203,19 @@ VmtWaScheduler::placeCold(Cluster &cluster, Watts watts)
         return id;
 
     // (2) Hot-group server already melted and above melting temp
-    // (minimum thermal impact).
+    // (minimum thermal impact), round robin.
     const std::size_t melted = hotMelted_.size();
-    for (std::size_t probes = 0; probes < melted; ++probes) {
+    if (melted > 0) {
         if (meltedCursor_ >= melted)
             meltedCursor_ = 0;
-        const std::size_t cand = hotMelted_[meltedCursor_];
-        meltedCursor_ = (meltedCursor_ + 1) % melted;
-        if (std::as_const(cluster).server(cand).hasCapacity())
-            return cand;
+        const std::size_t k =
+            circularScan(meltedCursor_, melted, [&](std::size_t pos) {
+                return std::as_const(cluster)
+                    .server(hotMelted_[pos])
+                    .hasCapacity();
+            });
+        if (k != kNoServer)
+            return hotMelted_[k];
     }
 
     // (3) Any remaining hot-group server.
@@ -303,6 +333,16 @@ VmtWaScheduler::loadState(Deserializer &in)
     keepWarmPower_ = in.getDouble();
     meltedCursor_ = in.getSize();
     anyCursor_ = in.getSize();
+    maskCluster_ = nullptr;
+}
+
+void
+VmtWaScheduler::checkLoadedState(const Cluster &cluster) const
+{
+    if (anyCursor_ >= cluster.numServers())
+        fatal("VMT-WA fallback cursor " + std::to_string(anyCursor_) +
+              " is past the last server of a " +
+              std::to_string(cluster.numServers()) + "-server cluster");
 }
 
 } // namespace vmt

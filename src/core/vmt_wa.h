@@ -29,10 +29,12 @@
 #ifndef VMT_CORE_VMT_WA_H
 #define VMT_CORE_VMT_WA_H
 
+#include <cstdint>
 #include <vector>
 
 #include "core/vmt_ta.h"
 #include "sched/block_min_group.h"
+#include "sched/circular_scan.h"
 
 namespace vmt {
 
@@ -84,10 +86,15 @@ class VmtWaScheduler : public Scheduler
      */
     void saveState(Serializer &out) const override;
     void loadState(Deserializer &in) override;
+    void checkLoadedState(const Cluster &cluster) const override;
 
   private:
     std::size_t placeHot(Cluster &cluster, Watts watts);
     std::size_t placeCold(Cluster &cluster, Watts watts);
+
+    /** Rebuild the fallback masks unless they were built from this
+     *  cluster at its current capacity epoch. */
+    void refreshFallbackMasks(const Cluster &cluster);
 
     /** True when the server still has unmelted wax or is cool enough
      *  to keep melting profitably. */
@@ -119,6 +126,16 @@ class VmtWaScheduler : public Scheduler
     std::vector<std::size_t> hotMelted_;
     std::size_t meltedCursor_ = 0;
     std::size_t anyCursor_ = 0;
+
+    /** Candidates of hot-job cascade steps (3) "has capacity and
+     *  estimated melt below the threshold" and (4) "has capacity",
+     *  built at an interval's first fallback (DESIGN.md §14). Not
+     *  saved: beginInterval and loadState drop them. */
+    ServerMask coolFallback_;
+    ServerMask openFallback_;
+    /** What the masks were built from; null when dropped. */
+    const Cluster *maskCluster_ = nullptr;
+    std::uint64_t maskEpoch_ = 0;
 };
 
 } // namespace vmt

@@ -1,22 +1,21 @@
 #include "sched/round_robin.h"
 
+#include <string>
 #include <utility>
 
+#include "sched/circular_scan.h"
 #include "state/serializer.h"
+#include "util/logging.h"
 
 namespace vmt {
 
 std::size_t
 RoundRobinScheduler::placeJob(Cluster &cluster, const Job &)
 {
-    const std::size_t n = cluster.numServers();
-    for (std::size_t probes = 0; probes < n; ++probes) {
-        const std::size_t id = cursor_;
-        cursor_ = (cursor_ + 1) % n;
-        if (std::as_const(cluster).server(id).hasCapacity())
-            return id;
-    }
-    return kNoServer;
+    const Cluster &view = cluster;
+    return circularScan(cursor_, view.numServers(), [&](std::size_t id) {
+        return view.server(id).hasCapacity();
+    });
 }
 
 void
@@ -29,6 +28,15 @@ void
 RoundRobinScheduler::loadState(Deserializer &in)
 {
     cursor_ = in.getSize();
+}
+
+void
+RoundRobinScheduler::checkLoadedState(const Cluster &cluster) const
+{
+    if (cursor_ >= cluster.numServers())
+        fatal("round-robin cursor " + std::to_string(cursor_) +
+              " is past the last server of a " +
+              std::to_string(cluster.numServers()) + "-server cluster");
 }
 
 } // namespace vmt

@@ -24,6 +24,7 @@ class RoundRobinScheduler : public Scheduler
 
     void saveState(Serializer &out) const override;
     void loadState(Deserializer &in) override;
+    void checkLoadedState(const Cluster &cluster) const override;
 
   private:
     std::size_t cursor_ = 0;

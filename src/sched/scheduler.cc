@@ -40,4 +40,8 @@ void
 Scheduler::loadState(Deserializer &)
 {}
 
+void
+Scheduler::checkLoadedState(const Cluster &) const
+{}
+
 } // namespace vmt

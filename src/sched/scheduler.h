@@ -118,6 +118,14 @@ class Scheduler
 
     /** Restore exactly what saveState() wrote, in the same order. */
     virtual void loadState(Deserializer &in);
+
+    /**
+     * Refuse restored state that cannot schedule `cluster` — a saved
+     * cursor past its last server — with a named FatalError. The
+     * snapshot loaders call it after loadState(), once the cluster
+     * is restored too. The default checks nothing.
+     */
+    virtual void checkLoadedState(const Cluster &cluster) const;
 };
 
 } // namespace vmt

@@ -62,4 +62,11 @@ SwitchoverScheduler::loadState(Deserializer &in)
     after_.loadState(in);
 }
 
+void
+SwitchoverScheduler::checkLoadedState(const Cluster &cluster) const
+{
+    before_.checkLoadedState(cluster);
+    after_.checkLoadedState(cluster);
+}
+
 } // namespace vmt

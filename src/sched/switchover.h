@@ -43,6 +43,7 @@ class SwitchoverScheduler : public Scheduler
     /** Saves the switch flag and both delegates' state. */
     void saveState(Serializer &out) const override;
     void loadState(Deserializer &in) override;
+    void checkLoadedState(const Cluster &cluster) const override;
 
   private:
     Scheduler &active() { return switched_ ? after_ : before_; }

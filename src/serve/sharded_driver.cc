@@ -1154,6 +1154,7 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     for (Shard &shard : shards_) {
         shard.cluster.loadState(shrd);
         shard.scheduler->loadState(shrd);
+        shard.scheduler->checkLoadedState(shard.cluster);
         shard.jobs.load(shrd, resume_time);
     }
     shrd.expectEnd();

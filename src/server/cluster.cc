@@ -125,6 +125,7 @@ Cluster::setHealth(std::size_t server_id, ServerHealth health)
     // and only that server's, so only its gather entry goes stale.
     totalPowerCache_.reset();
     markPowerDirty(server_id);
+    ++capacityEpoch_;
 }
 
 Server &
@@ -138,6 +139,7 @@ Cluster::server(std::size_t id)
     // the const overload precisely to avoid this.)
     totalPowerCache_.reset();
     markPowerDirty(id);
+    ++capacityEpoch_;
     return servers_[id];
 }
 
@@ -168,6 +170,7 @@ Cluster::removeJob(std::size_t server_id, WorkloadType type)
         panic("Cluster::removeJob out of range");
     totalPowerCache_.reset();
     markPowerDirty(server_id);
+    ++capacityEpoch_;
     servers_[server_id].removeJob(type);
     auto &count = active_[workloadIndex(type)];
     if (count == 0)
@@ -197,6 +200,7 @@ ClusterSample
 Cluster::stepThermal(Seconds dt, Celsius hot_threshold)
 {
     totalPowerCache_.reset();
+    ++capacityEpoch_; // Estimated melt moves below.
     const std::size_t n = servers_.size();
 
     // Gather stale power entries, then batch-step. Per-server values
@@ -326,6 +330,7 @@ Cluster::loadState(Deserializer &in)
         srv.loadState(in);
     totalPowerCache_.reset();
     markAllPowerDirty();
+    ++capacityEpoch_;
 }
 
 Celsius

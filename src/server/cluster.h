@@ -109,6 +109,17 @@ class Cluster
     Server &server(std::size_t id);
     const Server &server(std::size_t id) const;
 
+    /**
+     * Counter that moves on every event that can make a server newly
+     * placeable: capacity given back (removeJob, setHealth, mutable
+     * server(), loadState) or estimated melt changed (stepThermal).
+     * addJob only takes capacity away and does not move it. So until
+     * it moves, a per-server "has capacity" (or "estimated melt below
+     * a threshold") bitmask can only hold stale set bits, never stale
+     * clear ones (VMT-WA's fallback masks, DESIGN.md §14).
+     */
+    std::uint64_t capacityEpoch() const { return capacityEpoch_; }
+
     /** Occupy a core on a server; updates cluster aggregates. */
     void addJob(std::size_t server_id, WorkloadType type);
 
@@ -211,6 +222,8 @@ class Cluster
     std::vector<std::uint64_t> powerDirty_;
     /** Cached totalPower() reduction; nullopt when stale. */
     mutable std::optional<Watts> totalPowerCache_;
+    /** See capacityEpoch(). Not serialized: loadState bumps it. */
+    std::uint64_t capacityEpoch_ = 0;
 };
 
 } // namespace vmt

@@ -250,6 +250,7 @@ loadSnapshot(SimState &state, const std::string &path)
     Deserializer sched = reader.section("SCHD");
     state.scheduler.loadState(sched);
     sched.expectEnd();
+    state.scheduler.checkLoadedState(state.cluster);
 
     Deserializer res = reader.section("RSLT");
     SimResult &result = state.result;

@@ -179,11 +179,20 @@ parallelFor(ThreadPool &pool, std::size_t begin, std::size_t end,
         return;
     }
 
+    // Every chunk index is claimed exactly once: by a helper, or by
+    // the caller, which keeps claiming until none is left. The caller
+    // then waits only for the chunks helpers claimed to finish — not
+    // for helpers to be scheduled at all. A helper that starts after
+    // the last claim finds nothing and returns without touching fn
+    // (which may be gone by then; Control is shared so it is not).
     struct Control
     {
         std::atomic<std::size_t> nextChunk{0};
         std::atomic<bool> failed{false};
-        std::mutex errorMutex;
+        std::mutex mutex;
+        std::condition_variable finished;
+        /** Chunks run or skipped; guarded by mutex, like error. */
+        std::size_t done = 0;
         std::exception_ptr error;
     };
     auto control = std::make_shared<Control>();
@@ -193,22 +202,31 @@ parallelFor(ThreadPool &pool, std::size_t begin, std::size_t end,
         for (;;) {
             const std::size_t chunk =
                 control->nextChunk.fetch_add(1);
-            if (chunk >= num_chunks ||
-                control->failed.load(std::memory_order_relaxed))
+            if (chunk >= num_chunks)
                 return;
-            const std::size_t chunk_begin = begin + chunk * grain;
-            const std::size_t chunk_end =
-                std::min(end, chunk_begin + grain);
-            try {
-                fn(chunk_begin, chunk_end);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(
-                    control->errorMutex);
-                if (!control->error)
-                    control->error = std::current_exception();
-                control->failed.store(true,
-                                      std::memory_order_relaxed);
+            // After a failure the remaining chunks are claimed and
+            // counted but skipped.
+            if (!control->failed.load(std::memory_order_relaxed)) {
+                const std::size_t chunk_begin = begin + chunk * grain;
+                const std::size_t chunk_end =
+                    std::min(end, chunk_begin + grain);
+                try {
+                    fn(chunk_begin, chunk_end);
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(control->mutex);
+                    if (!control->error)
+                        control->error = std::current_exception();
+                    control->failed.store(true,
+                                          std::memory_order_relaxed);
+                }
             }
+            bool last = false;
+            {
+                std::lock_guard<std::mutex> lock(control->mutex);
+                last = ++control->done == num_chunks;
+            }
+            if (last)
+                control->finished.notify_all();
         }
     };
 
@@ -216,10 +234,8 @@ parallelFor(ThreadPool &pool, std::size_t begin, std::size_t end,
     // calling thread which drains too).
     const std::size_t helpers =
         std::min(pool.size(), num_chunks - 1);
-    std::vector<std::future<void>> futures;
-    futures.reserve(helpers);
     for (std::size_t i = 0; i < helpers; ++i)
-        futures.push_back(pool.submit(drain));
+        pool.submit(drain);
     // While the caller drains chunks it is inside the region like any
     // helper: a parallelFor reached from its chunk must run inline
     // too, not queue helpers behind this region's own. (drain()
@@ -227,8 +243,9 @@ parallelFor(ThreadPool &pool, std::size_t begin, std::size_t end,
     tls_inside_worker = true;
     drain();
     tls_inside_worker = false;
-    for (std::future<void> &future : futures)
-        future.wait();
+    std::unique_lock<std::mutex> lock(control->mutex);
+    control->finished.wait(
+        lock, [&] { return control->done == num_chunks; });
     if (control->error)
         std::rethrow_exception(control->error);
 }

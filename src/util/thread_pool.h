@@ -129,9 +129,11 @@ ThreadPool &globalPool();
  * region (a pool worker, or a caller running chunks of an enclosing
  * parallelFor).
  *
- * The calling thread participates in chunk execution. The first
- * exception thrown by fn is rethrown on the caller after all chunks
- * settle; remaining chunks are skipped.
+ * The calling thread participates in chunk execution and returns once
+ * every chunk has run — it does not wait for helpers that were never
+ * scheduled in time to claim one (they exit without calling fn). The
+ * first exception thrown by fn is rethrown on the caller after all
+ * chunks settle; remaining chunks are skipped.
  */
 void parallelFor(ThreadPool &pool, std::size_t begin, std::size_t end,
                  std::size_t grain,

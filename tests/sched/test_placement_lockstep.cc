@@ -15,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstddef>
 #include <functional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -31,6 +33,7 @@
 #include "sched/coolest_first.h"
 #include "sched/round_robin.h"
 #include "sched/switchover.h"
+#include "sim/job_table.h"
 #include "sim/simulation.h"
 #include "state/serializer.h"
 #include "state/sim_snapshot.h"
@@ -254,6 +257,202 @@ TEST(PlacementLockstep, AdaptiveVmt)
     runLockstep(reference::ScalarAdaptiveVmt(vmt, hotMaskFromPaper()),
                 AdaptiveVmtScheduler(vmt, hotMaskFromPaper()),
                 0xADA7EEDull, 1500);
+}
+
+// ---------------------------------------------------------------------
+// A saturated pod. Once the hot group is full, VMT-WA's hot jobs fall
+// through to cascade steps (3) and (4), which the production scheduler
+// probes through bitmasks built at an interval's first fallback. The
+// twins release capacity between two placeJobs calls of one interval
+// (departures, a live migration, a repaired server), so a mask that
+// missed a release, trusted a stale bit or left the cursor behind
+// decides differently from the per-server probe of the oracle.
+// ---------------------------------------------------------------------
+
+constexpr std::size_t kPodServers = 256;
+
+/** What the saturated run placed through the fallback steps. */
+struct FallbackHits
+{
+    /** Hot jobs outside the hot group below / at or above the wax
+     *  threshold: cascade step (3) / step (4). */
+    std::size_t belowThreshold = 0;
+    std::size_t anyServer = 0;
+    /** Fallback placements at a lower id than the one before. */
+    std::size_t wraps = 0;
+    /** Lowest busy fraction after the fill. */
+    double minBusy = 1.0;
+};
+
+/** One pod (cluster + job table) per implementation. */
+struct PodTwin
+{
+    Cluster cluster{kPodServers, ServerSpec{}, ServerThermalParams{},
+                    PowerModel({}, 1.0)};
+    JobTable jobs{kPodServers, 60.0};
+};
+
+template <typename Scalar, typename Production>
+FallbackHits
+runSaturatedLockstep(Scalar scalar_sched, Production prod_sched,
+                     std::uint64_t seed)
+{
+    KnobGuard guard;
+    setGlobalThreadCount(1);
+    PodTwin scalar;
+    PodTwin prod;
+    PodTwin *const twins[2] = {&scalar, &prod};
+    const HotMask hot = hotMaskFromPaper();
+    const double threshold = bench::studyVmt(22.0).waxThreshold;
+    // Hot aisles on every third server, so part of the pod melts.
+    for (PodTwin *twin : twins)
+        for (std::size_t id = 0; id < kPodServers; ++id)
+            twin->cluster.setBaseInlet(id, id % 3 == 0 ? 38.0 : 24.0);
+
+    Rng rng(seed);
+    FallbackHits hits;
+    std::size_t last_fallback = 0;
+    std::size_t failed = kNoServer;
+    std::vector<Job> batch;
+    std::vector<std::size_t> scalar_out;
+    std::vector<std::size_t> prod_out;
+    Seconds now = 0.0;
+
+    const auto place = [&](std::size_t arrivals, std::size_t step) {
+        batch.clear();
+        std::vector<Seconds> due;
+        for (std::size_t k = 0; k < arrivals; ++k) {
+            batch.push_back(Job{
+                step, kAllWorkloads[rng.below(kNumWorkloads)], 0.0});
+            due.push_back(now + rng.uniform(1800.0, 36000.0));
+        }
+        scalar_sched.placeJobs(scalar.cluster, batch, scalar_out);
+        prod_sched.placeJobs(prod.cluster, batch, prod_out);
+        ASSERT_EQ(scalar_out, prod_out) << "step " << step;
+        const std::size_t hot_size = *scalar_sched.hotGroupSize();
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            const std::size_t id = scalar_out[k];
+            if (id == kNoServer)
+                continue;
+            scalar.jobs.bind(id, batch[k].type, due[k]);
+            prod.jobs.bind(id, batch[k].type, due[k]);
+            if (!hot[workloadIndex(batch[k].type)] || id < hot_size)
+                continue;
+            if (std::as_const(scalar.cluster)
+                    .server(id)
+                    .estimatedMeltFraction() < threshold)
+                ++hits.belowThreshold;
+            else
+                ++hits.anyServer;
+            hits.wraps += id < last_fallback;
+            last_fallback = id;
+        }
+    };
+
+    constexpr std::size_t kFillSteps = 6;
+    constexpr std::size_t kSteps = 160;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+        const bool filling = step < kFillSteps;
+        for (PodTwin *twin : twins)
+            twin->jobs.drainDue(now, twin->cluster);
+        // Now and then a server fails (its jobs are lost) until a
+        // repair mid-interval.
+        if (!filling && failed == kNoServer && rng.below(4) == 0) {
+            failed = rng.below(kPodServers);
+            const std::size_t down[1] = {failed};
+            for (PodTwin *twin : twins) {
+                twin->jobs.evacuate(down, twin->cluster,
+                                    [](std::uint32_t, WorkloadType,
+                                       Seconds) {});
+                twin->cluster.setHealth(failed, ServerHealth::Failed);
+            }
+        }
+
+        scalar_sched.beginInterval(scalar.cluster, now);
+        prod_sched.beginInterval(prod.cluster, now);
+        place(filling ? 2000 : 150 + rng.below(100), step);
+        if (::testing::Test::HasFatalFailure())
+            return hits;
+        if (!filling)
+            hits.minBusy = std::min(
+                hits.minBusy,
+                static_cast<double>(scalar.cluster.busyCores()) /
+                    static_cast<double>(scalar.cluster.totalCores()));
+
+        // Give capacity back mid-interval, one way per interval, so
+        // each has to be seen on its own.
+        switch (rng.below(3)) {
+        case 0: // Departures due in the first half of the interval.
+            for (PodTwin *twin : twins)
+                twin->jobs.drainDue(now + 30.0, twin->cluster);
+            break;
+        case 1: { // Live-migrate a hot-group job onto a free server.
+            const Cluster &ref = scalar.cluster;
+            const std::size_t from = rng.below(
+                std::max<std::size_t>(1, *scalar_sched.hotGroupSize()));
+            std::size_t to = kNoServer;
+            for (std::size_t id = 0; id < kPodServers; ++id)
+                if (id != from && ref.server(id).hasCapacity())
+                    to = id;
+            for (const WorkloadType type : kAllWorkloads) {
+                if (to == kNoServer ||
+                    ref.server(from).coreCounts()[workloadIndex(type)] ==
+                        0)
+                    continue;
+                for (PodTwin *twin : twins)
+                    twin->jobs.migrate(from, to, type, twin->cluster);
+                break;
+            }
+            break;
+        }
+        default: // The failed server comes back, empty.
+            if (failed != kNoServer) {
+                for (PodTwin *twin : twins)
+                    twin->cluster.setHealth(failed, ServerHealth::Up);
+                failed = kNoServer;
+            }
+            break;
+        }
+        place(40 + rng.below(40), step);
+        if (::testing::Test::HasFatalFailure())
+            return hits;
+
+        for (PodTwin *twin : twins)
+            twin->cluster.stepThermal(300.0, 38.0);
+        now += 300.0;
+    }
+    expectServersIdentical(scalar.cluster, prod.cluster, kSteps);
+    Serializer sa;
+    Serializer sb;
+    scalar_sched.saveState(sa);
+    prod_sched.saveState(sb);
+    EXPECT_EQ(sa.bytes(), sb.bytes());
+    return hits;
+}
+
+void
+expectFallbacksDriven(const FallbackHits &hits)
+{
+    EXPECT_GE(hits.minBusy, 0.95);
+    EXPECT_GT(hits.belowThreshold, 0u);
+    EXPECT_GT(hits.anyServer, 0u);
+    EXPECT_GT(hits.wraps, 0u);
+}
+
+TEST(PlacementLockstep, VmtWaSaturatedPodFallbacks)
+{
+    const VmtConfig vmt = bench::studyVmt(22.0);
+    expectFallbacksDriven(runSaturatedLockstep(
+        reference::ScalarVmtWa(vmt, hotMaskFromPaper()),
+        VmtWaScheduler(vmt, hotMaskFromPaper()), 0x5A7u));
+}
+
+TEST(PlacementLockstep, AdaptiveVmtSaturatedPodFallbacks)
+{
+    const VmtConfig vmt = bench::studyVmt(22.0);
+    expectFallbacksDriven(runSaturatedLockstep(
+        reference::ScalarAdaptiveVmt(vmt, hotMaskFromPaper()),
+        AdaptiveVmtScheduler(vmt, hotMaskFromPaper()), 0xADA5A7u));
 }
 
 // ---------------------------------------------------------------------

@@ -592,10 +592,12 @@ TEST(ResumeMismatch, DifferentIntegratorIsFatal)
 std::string
 corruptServeResumeMessage(
     const char *name, const std::string &tag,
-    const std::function<void(std::uint8_t *, std::size_t)> &edit)
+    const std::function<void(std::uint8_t *, std::size_t)> &edit,
+    const std::string &policy = "wa")
 {
     const std::string ckpt = tempSnapshotPath(name);
     serve::ServeConfig config;
+    config.policy = policy;
     // Three equal pods, so the router spreads jobs over all of them
     // and the last shard has departures pending.
     config.numServers = 21;
@@ -793,6 +795,95 @@ TEST(ResumeMismatch, CorruptBatchResidencySlotIsFatal)
                                        point_past_table)
                   .find("residency list references job slot"),
               std::string::npos);
+}
+
+void
+putSizeAt(std::uint8_t *at, std::size_t value)
+{
+    Serializer encoded;
+    encoded.putSize(value);
+    std::memcpy(at, encoded.bytes().data(), encoded.bytes().size());
+}
+
+/**
+ * A saved round-robin cursor — RoundRobin's `cursor_`, VMT-WA's
+ * fallback `anyCursor_` — indexes a server. One at or past the server
+ * count is refused by name at load, in batch snapshots (SCHD) and
+ * serving checkpoints (SHRD) alike, instead of aborting the first
+ * fallback placement in Cluster::server.
+ */
+TEST(ResumeMismatch, OutOfRangeCursorIsFatal)
+{
+    const std::size_t bad_cursors[] = {20, std::size_t{1} << 40};
+    // Batch, 20 servers: RoundRobin's SCHD is the cursor alone;
+    // VMT-WA's ends with anyCursor_.
+    for (const std::size_t bad : bad_cursors) {
+        SCOPED_TRACE("batch cursor " + std::to_string(bad));
+        const std::string path = tempSnapshotPath("vmt_cursor_rr.snap");
+        SimConfig config = shortRun(20, 0.2);
+        installSingleCheckpoint(config, 6, path);
+        RoundRobinScheduler writer;
+        runSimulation(config, writer);
+        patchSection(path, "SCHD",
+                     [&](std::uint8_t *payload, std::size_t) {
+                         putSizeAt(payload, bad);
+                     });
+        RoundRobinScheduler rr;
+        EXPECT_NE(fatalMessage([&] {
+                      tryResume(shortRun(20, 0.2), rr, path);
+                  }).find("round-robin cursor " + std::to_string(bad) +
+                          " is past the last server of a 20-server"),
+                  std::string::npos);
+        std::remove(path.c_str());
+
+        const std::string wa_path =
+            writeReferenceSnapshot("vmt_cursor_wa.snap");
+        patchSection(wa_path, "SCHD",
+                     [&](std::uint8_t *payload, std::size_t length) {
+                         putSizeAt(payload + length - 8, bad);
+                     });
+        VmtWaScheduler wa = waScheduler();
+        EXPECT_NE(fatalMessage([&] {
+                      tryResume(shortRun(20, 0.2), wa, wa_path);
+                  }).find("VMT-WA fallback cursor " +
+                          std::to_string(bad) +
+                          " is past the last server of a 20-server"),
+                  std::string::npos);
+        std::remove(wa_path.c_str());
+    }
+
+    // Serving, 7-server pods: SHRD holds the shard count, then per
+    // shard the cluster, the scheduler and the job block. Patch the
+    // first shard's cursor.
+    Serializer cluster_block;
+    Cluster(7, ServerSpec{}, ServerThermalParams{}, PowerModel({}, 1.0))
+        .saveState(cluster_block);
+    const std::size_t scheduler_at = 8 + cluster_block.bytes().size();
+    Serializer wa_block;
+    waScheduler().saveState(wa_block);
+    const struct
+    {
+        const char *policy;
+        std::size_t cursorAt;
+        const char *named;
+    } serve_cases[] = {
+        {"rr", scheduler_at, "round-robin cursor 7 is past the last "
+                             "server of a 7-server"},
+        {"wa", scheduler_at + wa_block.bytes().size() - 8,
+         "VMT-WA fallback cursor 7 is past the last server of a "
+         "7-server"},
+    };
+    for (const auto &c : serve_cases) {
+        SCOPED_TRACE(c.policy);
+        EXPECT_NE(corruptServeResumeMessage(
+                      "vmt_cursor_shrd.ckpt", "SHRD",
+                      [&](std::uint8_t *payload, std::size_t) {
+                          putSizeAt(payload + c.cursorAt, 7);
+                      },
+                      c.policy)
+                      .find(c.named),
+                  std::string::npos);
+    }
 }
 
 TEST(ResumeMismatch, ShorterRunThanCompletedIntervalsIsFatal)

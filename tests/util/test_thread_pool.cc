@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -148,6 +150,34 @@ TEST(ParallelFor, NestedCallRunsInline)
         })
         .get();
     EXPECT_EQ(inner_calls.load(), 1);
+}
+
+TEST(ParallelFor, ReturnsWithoutWaitingForUnstartedHelpers)
+{
+    // Both workers are held, so the helpers parallelFor submits queue
+    // behind them and cannot start: the caller has to drain all 8
+    // chunks itself and must then return without waiting for them.
+    ThreadPool pool(2);
+    std::promise<void> release;
+    const std::shared_future<void> latch = release.get_future().share();
+    std::vector<std::future<void>> held;
+    for (int i = 0; i < 2; ++i)
+        held.push_back(pool.submit([latch] { latch.wait(); }));
+
+    std::atomic<int> chunks{0};
+    auto call = std::async(std::launch::async, [&] {
+        parallelFor(pool, 0, 8, 1,
+                    [&](std::size_t, std::size_t) { ++chunks; });
+    });
+    const bool returned = call.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    release.set_value();
+    call.wait();
+    for (std::future<void> &future : held)
+        future.wait();
+    EXPECT_TRUE(returned)
+        << "parallelFor waited for helpers that never got a chunk";
+    EXPECT_EQ(chunks.load(), 8);
 }
 
 TEST(ParallelMap, PreservesInputOrder)
