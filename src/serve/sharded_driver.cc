@@ -590,24 +590,42 @@ ShardedDriver::run(JobFeed &feed,
         o != nullptr || config_.recordPlacementLatency;
 
     // Serving-mode checkpoints go through the crash-recovery layer:
-    // rotation keeps the previous generation, and a failed write is
-    // counted and retried next period instead of killing the run.
+    // rotation keeps the previous generation, a failed write is
+    // counted and retried next period instead of killing the run, and
+    // the write runs in the background while the loop goes on. Each
+    // commit's outcome is settled here, on the driver thread, before
+    // the next checkpoint and at exit.
     std::optional<RecoveryManager> recovery;
-    if (config_.checkpointEvery > 0)
+    if (config_.checkpointEvery > 0) {
         recovery.emplace(config_.checkpointPath);
-    const auto checkpoint = [&](std::size_t done) {
-        obs::ScopedPhase timer(prof, sobs.phaseCheckpoint);
-        SnapshotWriter writer;
-        buildCheckpoint(writer, feed, done);
-        if (recovery->save(writer))
-            return true;
+        if (degraded_)
+            degradedEcho_ = encodeDegradedEcho();
+    }
+    // The boundary being committed, and the newest one on disk.
+    std::size_t committing = 0;
+    std::optional<std::size_t> saved;
+    const auto settle = [&] {
+        const std::optional<bool> ok = recovery->join();
+        if (!ok)
+            return;
+        if (*ok) {
+            saved = committing;
+            ++result.checkpointsWritten;
+            return;
+        }
         warn("serve: checkpoint save failed (" +
              recovery->lastError() +
              "); keeping the last good snapshot and retrying next "
              "period");
         if (o && degraded_)
             o->metrics().inc(sobs.checkpointFailures);
-        return false;
+    };
+    const auto checkpoint = [&](std::size_t done) {
+        settle();
+        SnapshotWriter writer;
+        buildCheckpoint(writer, feed, done);
+        recovery->commit(std::move(writer));
+        committing = done;
     };
 
     ThreadPool &pool = globalPool();
@@ -906,8 +924,10 @@ ShardedDriver::run(JobFeed &feed,
         // 7. Periodic checkpoint (the final one below covers the
         // exit boundary).
         if (config_.checkpointEvery > 0 &&
-            completed % config_.checkpointEvery == 0)
+            completed % config_.checkpointEvery == 0) {
+            obs::ScopedPhase timer(prof, sobs.phaseCheckpoint);
             checkpoint(completed);
+        }
 
         // 8. Natural end: a finished feed, an empty ring and nothing
         // in flight — the serving loop has drained.
@@ -918,9 +938,17 @@ ShardedDriver::run(JobFeed &feed,
     }
 
     // Drain to a final checkpoint: kill/restore (SIGINT, SIGTERM or
-    // an interval cap) resumes from this boundary bitwise.
+    // an interval cap) resumes from this boundary bitwise. A periodic
+    // checkpoint that already saved this boundary stands; writing it
+    // again would only rotate a copy of it into .prev.
     if (config_.checkpointEvery > 0) {
-        if (checkpoint(completed))
+        obs::ScopedPhase timer(prof, sobs.phaseCheckpoint);
+        settle();
+        if (saved != completed) {
+            checkpoint(completed);
+            settle();
+        }
+        if (saved == completed)
             result.finalCheckpoint = config_.checkpointPath;
         result.checkpointFailures = recovery->failures();
     }
@@ -1016,20 +1044,19 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
 
     // SHRD: the full shard map — per shard, the cluster, the policy
     // and the job table (the batch QUEU encoding). Each shard
-    // encodes and checksums its own part on the pool; the container
-    // concatenates the parts in shard order, so the section is
-    // byte-identical at any thread count.
-    const std::span<SnapshotPart> shrd =
+    // encodes its own part on the pool; the commit thread checksums
+    // the parts and concatenates them in shard order, so the section
+    // is byte-identical at any thread count.
+    const std::span<Serializer> shrd =
         writer.sectionParts("SHRD", shards_.size() + 1);
-    shrd.front().out().putSize(shards_.size());
+    shrd.front().putSize(shards_.size());
     parallelFor(globalPool(), 0, shards_.size(), 1,
                 [&](std::size_t begin, std::size_t end) {
                     for (std::size_t s = begin; s < end; ++s) {
-                        Serializer &out = shrd[s + 1].out();
+                        Serializer &out = shrd[s + 1];
                         shards_[s].cluster.saveState(out);
                         shards_[s].scheduler->saveState(out);
                         shards_[s].jobs.save(out);
-                        shrd[s + 1].seal();
                     }
                 });
 
@@ -1039,32 +1066,7 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     // remain loadable).
     if (degraded_) {
         Serializer &dgrd = writer.section("DGRD");
-        dgrd.putBool(config_.faults.enable);
-        const FaultPlan &plan = config_.faults.plan;
-        dgrd.putSize(plan.size());
-        for (const FaultEvent &event : plan.events()) {
-            dgrd.putDouble(event.time);
-            dgrd.putU8(static_cast<std::uint8_t>(event.type));
-            dgrd.putSize(event.serverId);
-            dgrd.putDouble(event.supplyRise);
-        }
-        dgrd.putU64(config_.faults.seed);
-        dgrd.putDouble(config_.faults.mtbf);
-        dgrd.putDouble(config_.faults.mtbfRefTemp);
-        dgrd.putDouble(config_.faults.mtbfDoublingDelta);
-        dgrd.putDouble(config_.faults.repairTime);
-        dgrd.putDouble(config_.faults.criticalTemp);
-        dgrd.putDouble(config_.faults.criticalRelease);
-        dgrd.putDouble(config_.brownout.maxAirTemp);
-        dgrd.putDouble(config_.brownout.release);
-        dgrd.putDouble(config_.brownout.maxMelt);
-        dgrd.putDouble(config_.brownout.meltRelease);
-        dgrd.putDouble(config_.brownout.step);
-        dgrd.putDouble(config_.brownout.floor);
-        dgrd.putSize(config_.brownout.holdIntervals);
-        dgrd.putDouble(config_.maxQueueAge);
-        dgrd.putSize(config_.evacRetries);
-
+        dgrd.putBytes(degradedEcho_.bytes().data(), degradedEcho_.size());
         dgrd.putU64(evacuated_);
         dgrd.putU64(migrated_);
         dgrd.putU64(lost_);
@@ -1078,6 +1080,38 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
                 shard.faults->saveState(dgrd, shard.cluster);
         }
     }
+}
+
+Serializer
+ShardedDriver::encodeDegradedEcho() const
+{
+    Serializer echo;
+    echo.putBool(config_.faults.enable);
+    const FaultPlan &plan = config_.faults.plan;
+    echo.putSize(plan.size());
+    for (const FaultEvent &event : plan.events()) {
+        echo.putDouble(event.time);
+        echo.putU8(static_cast<std::uint8_t>(event.type));
+        echo.putSize(event.serverId);
+        echo.putDouble(event.supplyRise);
+    }
+    echo.putU64(config_.faults.seed);
+    echo.putDouble(config_.faults.mtbf);
+    echo.putDouble(config_.faults.mtbfRefTemp);
+    echo.putDouble(config_.faults.mtbfDoublingDelta);
+    echo.putDouble(config_.faults.repairTime);
+    echo.putDouble(config_.faults.criticalTemp);
+    echo.putDouble(config_.faults.criticalRelease);
+    echo.putDouble(config_.brownout.maxAirTemp);
+    echo.putDouble(config_.brownout.release);
+    echo.putDouble(config_.brownout.maxMelt);
+    echo.putDouble(config_.brownout.meltRelease);
+    echo.putDouble(config_.brownout.step);
+    echo.putDouble(config_.brownout.floor);
+    echo.putSize(config_.brownout.holdIntervals);
+    echo.putDouble(config_.maxQueueAge);
+    echo.putSize(config_.evacRetries);
+    return echo;
 }
 
 std::size_t

@@ -37,7 +37,8 @@
  * mode only — a DGRD section with the fault/brownout state, so a run
  * without any degraded-mode configuration writes byte-identical
  * snapshots to the pre-fault driver. Checkpoint writes go through
- * the crash-recovery manager (state/recovery.h): failures are
+ * the crash-recovery manager (state/recovery.h): the loop encodes a
+ * checkpoint and hands it to a background commit, failures are
  * counted and retried instead of fatal, and resume scans the
  * retained generations instead of dying on a corrupt newest file.
  */
@@ -64,6 +65,7 @@
 #include "server/cluster.h"
 #include "server/server_spec.h"
 #include "sim/job_table.h"
+#include "state/serializer.h"
 #include "thermal/thermal_params.h"
 #include "util/units.h"
 
@@ -144,8 +146,9 @@ struct ServeConfig
      *  feed is exhausted and drained (or a stop is requested). */
     std::size_t maxIntervals = 0;
 
-    /** Snapshot every N completed intervals (0 = off); a final
-     *  snapshot is always attempted on exit while enabled. */
+    /** Snapshot every N completed intervals (0 = off); while
+     *  enabled, the exit boundary is snapshotted too (once, when it
+     *  is also a periodic one). */
     std::size_t checkpointEvery = 0;
     std::string checkpointPath = "vmtserve.ckpt";
     /** Resume from a snapshot written by an earlier run with the same
@@ -212,6 +215,9 @@ struct ServeResult
     std::uint64_t lostJobs = 0;
     /** Queued arrivals shed by the queue-age deadline. */
     std::uint64_t expiredJobs = 0;
+    /** Checkpoints this process wrote successfully; the exit
+     *  boundary counts once even when it is a periodic one. */
+    std::uint64_t checkpointsWritten = 0;
     /** Failed checkpoint writes (run continued on the last good). */
     std::uint64_t checkpointFailures = 0;
     /** Servers down at exit. */
@@ -348,11 +354,14 @@ class ShardedDriver
      *  returns the number routed (prefix of @p admitted). */
     std::size_t routeToShards(std::span<const FeedJob> admitted);
     /** Write SCON/FEED/INGR/SHRD[/DGRD]; SHRD's per-shard parts are
-     *  encoded in parallel. */
+     *  encoded in parallel and DGRD starts with degradedEcho_. */
     void buildCheckpoint(SnapshotWriter &writer, const JobFeed &feed,
                          std::size_t completed) const;
     std::size_t loadCheckpoint(JobFeed &feed,
                                const std::string &path);
+    /** DGRD's configuration echo: the fault plan, fault-engine,
+     *  brownout, deadline and retry settings loadCheckpoint checks. */
+    Serializer encodeDegradedEcho() const;
 
     ServeConfig config_;
     PowerModel power_;
@@ -395,6 +404,10 @@ class ShardedDriver
     std::vector<std::size_t> freeEst_;
     /** The router for admissions and refugee rounds. */
     Waterfill waterfill_;
+    /** encodeDegradedEcho(), built once per checkpointing degraded
+     *  run: the config is constant, and at 10k servers the fault
+     *  plan is most of the DGRD section. */
+    Serializer degradedEcho_;
     bool ran_ = false;
 };
 

@@ -20,11 +20,11 @@
  *  - every bucket other than a mid-drain front holds its entries in
  *    insertion order (schedule() only appends), so a *stable* sort by
  *    time alone yields (time, insertion) order with no sequence
- *    number stored. The sort is an LSD radix sort on the IEEE-754
- *    bits of time + 0.0: the addition maps -0.0 to +0.0 (the two
- *    compare equal, so they must tie), and non-negative doubles order
- *    like their bit patterns. Only the bit range that varies within
- *    the bucket is sorted;
+ *    number stored. A small bucket takes an insertion sort; a large
+ *    one an LSD radix sort on the IEEE-754 bits of time + 0.0: the
+ *    addition maps -0.0 to +0.0 (the two compare equal, so they must
+ *    tie), and non-negative doubles order like their bit patterns.
+ *    Only the bit range that varies within the bucket is sorted;
  *  - an event scheduled at or before the drain point (e.g. a
  *    zero-duration job) is placed into the undrained remainder of the
  *    sorted front bucket after every entry of equal time — exactly
@@ -62,6 +62,15 @@ template <typename Payload>
 class IntervalQueue
 {
   public:
+    /**
+     * Buckets of at most this many entries are insertion-sorted;
+     * larger ones take the radix sort, whose fixed cost is clearing
+     * and prefix-summing a 256-bin histogram per digit. The measured
+     * crossover is at 72-80 entries (DESIGN.md §8b, "Driver data
+     * structures").
+     */
+    static constexpr std::size_t kInsertionSortMax = 64;
+
     /** @param interval The driver's step length dt (> 0). */
     explicit IntervalQueue(Seconds interval)
         : dt_(interval), invDt_(1.0 / interval)
@@ -233,10 +242,11 @@ class IntervalQueue
     }
 
     /**
-     * Stable sort of `v` by time (ties keep their order). LSD radix
-     * over 8-bit digits of keyOf(), restricted to the bits that vary
-     * across the bucket (XOR against the first key) and skipping
-     * digits every key shares; `scratch` is the ping-pong buffer and
+     * Stable sort of `v` by time (ties keep their order): insertion
+     * sort for small buckets, else an LSD radix sort over 8-bit
+     * digits of keyOf(), restricted to the bits that vary across the
+     * bucket (XOR against the first key) and skipping digits every
+     * key shares; `scratch` is the radix sort's ping-pong buffer and
      * may swap storage with `v`.
      */
     static void
@@ -245,6 +255,10 @@ class IntervalQueue
         const std::size_t n = v.size();
         if (n < 2)
             return;
+        if (n <= kInsertionSortMax) {
+            insertionSortByTime(v);
+            return;
+        }
 
         const std::uint64_t first = keyOf(v[0].time);
         std::uint64_t varying = 0;
@@ -290,6 +304,25 @@ class IntervalQueue
         }
         if (src != v.data())
             v.swap(scratch);
+    }
+
+    /** Stable insertion sort by time: an entry moves left only past
+     *  strictly later times, so ties (-0.0 and +0.0 included, which
+     *  compare equal) keep their order. */
+    static void
+    insertionSortByTime(std::vector<Entry> &v)
+    {
+        for (std::size_t i = 1; i < v.size(); ++i) {
+            if (!(v[i].time < v[i - 1].time))
+                continue;
+            Entry entry = std::move(v[i]);
+            std::size_t j = i;
+            do {
+                v[j] = std::move(v[j - 1]);
+                --j;
+            } while (j > 0 && entry.time < v[j - 1].time);
+            v[j] = std::move(entry);
+        }
     }
 
     /** Smallest b with double(b) * dt >= time. The cast-then-multiply

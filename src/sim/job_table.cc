@@ -11,27 +11,45 @@ namespace vmt {
 void
 JobTable::save(Serializer &out) const
 {
-    out.putSize(slots_.size());
-    for (const SimActiveJob &job : slots_) {
-        out.putSize(job.serverId);
-        out.putU8(static_cast<std::uint8_t>(job.type));
-        out.putU32(job.pos);
+    // Size the block once and fill it in place: a serving checkpoint
+    // encodes every shard's table, and one growth-checked put per
+    // field cost more than the copy itself. The layout is the one
+    // Serializer's puts wrote (tests/reference/job_table_save.h).
+    constexpr std::size_t kCount = sizeof(std::uint64_t);
+    constexpr std::size_t kId = sizeof(std::uint32_t);
+    constexpr std::size_t kSlot = kCount + 1 + kId;
+    constexpr std::size_t kDeparture = sizeof(double) + kId;
+    std::size_t resident = 0;
+    for (const auto &per_server : residents_) {
+        for (const auto &ids : per_server)
+            resident += ids.size();
     }
-    out.putSize(free_.size());
-    for (std::uint32_t slot : free_)
-        out.putU32(slot);
+    const std::size_t size =
+        kCount + slots_.size() * kSlot + kCount + free_.size() * kId +
+        residents_.size() * kNumWorkloads * kCount + resident * kId +
+        kCount + departures_.size() * kDeparture;
+    PutCursor at(out.extend(size), size);
+    at.putSize(slots_.size());
+    for (const SimActiveJob &job : slots_) {
+        at.putSize(job.serverId);
+        at.putU8(static_cast<std::uint8_t>(job.type));
+        at.putU32(job.pos);
+    }
+    // Slot ids are u32s, whose encoding is their native bytes.
+    at.putSize(free_.size());
+    at.putBytes(free_.data(), free_.size() * kId);
     for (const auto &per_server : residents_) {
         for (const auto &ids : per_server) {
-            out.putSize(ids.size());
-            for (std::uint32_t slot : ids)
-                out.putU32(slot);
+            at.putSize(ids.size());
+            at.putBytes(ids.data(), ids.size() * kId);
         }
     }
-    out.putSize(departures_.size());
-    departures_.visitPending([&out](Seconds time, std::uint32_t slot) {
-        out.putDouble(time);
-        out.putU32(slot);
+    at.putSize(departures_.size());
+    departures_.visitPending([&at](Seconds time, std::uint32_t slot) {
+        at.putDouble(time);
+        at.putU32(slot);
     });
+    at.finish();
 }
 
 void

@@ -179,6 +179,7 @@ class JobTable
 
     // ---- read-only views (tests, the serial SHRD reference) ----
 
+    std::size_t numServers() const { return residents_.size(); }
     const std::vector<SimActiveJob> &slots() const { return slots_; }
     const std::vector<std::uint32_t> &freeList() const { return free_; }
     const std::vector<std::uint32_t> &

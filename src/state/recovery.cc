@@ -1,6 +1,7 @@
 #include "state/recovery.h"
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <ostream>
 #include <utility>
@@ -34,32 +35,69 @@ RecoveryManager::RecoveryManager(std::string path)
         fatal("RecoveryManager requires a non-empty snapshot path");
 }
 
-bool
-RecoveryManager::save(const SnapshotWriter &writer)
+RecoveryManager::~RecoveryManager()
 {
-    // Stage the new image first: if the disk is full the stage fails
-    // and neither retained generation has been touched. Only then
-    // rotate the current last-good snapshot to the .prev generation.
-    // A rotation failure is not fatal to the save — a fresh snapshot
-    // beats a preserved old one — but is worth a warning because the
-    // fallback generation is now stale.
-    const auto rotate = [this] {
-        const std::string prev = previousSnapshotPath(path_);
-        if (fileExists(path_) &&
-            std::rename(path_.c_str(), prev.c_str()) != 0)
-            warn("checkpoint: cannot rotate " + path_ + " to " + prev +
-                 "; previous generation is stale");
-    };
-    std::string error;
-    if (!tryAtomicWriteStream(
-            path_, [&](std::ostream &out) { writer.writeTo(out); },
-            &error, rotate)) {
+    if (worker_.joinable())
+        worker_.join();
+}
+
+void
+RecoveryManager::commit(SnapshotWriter writer)
+{
+    join();
+    worker_ = std::thread([this, writer = std::move(writer)] {
+        outcome_ = write(writer);
+    });
+}
+
+std::optional<bool>
+RecoveryManager::join()
+{
+    if (!worker_.joinable())
+        return std::nullopt;
+    worker_.join();
+    Outcome outcome = std::move(outcome_);
+    if (!outcome.staleWarning.empty())
+        warn(outcome.staleWarning);
+    if (!outcome.ok) {
         ++failures_;
-        lastError_ = std::move(error);
+        lastError_ = std::move(outcome.error);
         return false;
     }
     lastError_.clear();
     return true;
+}
+
+RecoveryManager::Outcome
+RecoveryManager::write(const SnapshotWriter &writer) const
+{
+    // Stage the new image first: if the disk is full the stage fails
+    // and neither retained generation has been touched. Only then
+    // rotate the current last-good snapshot to the .prev generation.
+    // A rotation failure is not fatal to the commit — a fresh
+    // snapshot beats a preserved old one — but is worth a warning
+    // because the fallback generation is now stale.
+    Outcome outcome;
+    const auto rotate = [&] {
+        const std::string prev = previousSnapshotPath(path_);
+        if (fileExists(path_) &&
+            std::rename(path_.c_str(), prev.c_str()) != 0)
+            outcome.staleWarning = "checkpoint: cannot rotate " + path_ +
+                                   " to " + prev +
+                                   "; previous generation is stale";
+    };
+    try {
+        outcome.ok = tryAtomicWriteStream(
+            path_, [&](std::ostream &out) { writer.writeTo(out); },
+            &outcome.error, rotate);
+    } catch (const std::exception &err) {
+        // Nothing may escape the background thread; an allocation
+        // failure is one more failed commit.
+        std::remove(atomicTempPath(path_).c_str());
+        outcome.ok = false;
+        outcome.error = std::string("checkpoint: ") + err.what();
+    }
+    return outcome;
 }
 
 RecoveredSnapshot

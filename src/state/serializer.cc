@@ -23,6 +23,23 @@ Serializer::putBytes(const void *data, std::size_t size)
 }
 
 void
+PutCursor::finish() const
+{
+    if (at_ != end_)
+        panic("PutCursor: " + std::to_string(end_ - at_) +
+              " bytes of the sized region left unfilled");
+}
+
+void
+PutCursor::overrun(std::size_t size) const
+{
+    panic("PutCursor: a " + std::to_string(size) + "-byte put overruns "
+          "the sized region by " +
+          std::to_string(size - static_cast<std::size_t>(end_ - at_)) +
+          " bytes");
+}
+
+void
 Deserializer::need(std::size_t n) const
 {
     if (size_ - pos_ < n)

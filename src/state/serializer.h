@@ -58,6 +58,16 @@ class Serializer
     /** Raw bytes, no length prefix. */
     void putBytes(const void *data, std::size_t size);
 
+    /** Append @p size bytes for the caller to fill in place (see
+     *  PutCursor); the pointer stays valid until the next append. */
+    std::uint8_t *
+    extend(std::size_t size)
+    {
+        const std::size_t at = buf_.size();
+        buf_.resize(at + size);
+        return buf_.data() + at;
+    }
+
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
 
@@ -72,6 +82,48 @@ class Serializer
     }
 
     std::vector<std::uint8_t> buf_;
+};
+
+/**
+ * Fills a region reserved by Serializer::extend() with the encodings
+ * of Serializer's puts, one bounds check and memcpy each — for
+ * encoders that size their output up front (JobTable::save).
+ */
+class PutCursor
+{
+  public:
+    /** The region [begin, begin + size). */
+    PutCursor(std::uint8_t *begin, std::size_t size)
+        : at_(begin), end_(begin + size)
+    {}
+
+    void putU8(std::uint8_t value) { putBytes(&value, 1); }
+    void putU32(std::uint32_t value) { putBytes(&value, 4); }
+    void putSize(std::size_t value)
+    {
+        const auto wide = static_cast<std::uint64_t>(value);
+        putBytes(&wide, 8);
+    }
+    void putDouble(double value) { putBytes(&value, 8); }
+    /** Raw bytes, no length prefix; panics past the region's end. */
+    void
+    putBytes(const void *data, std::size_t size)
+    {
+        if (size > static_cast<std::size_t>(end_ - at_))
+            overrun(size);
+        if (size != 0)
+            std::memcpy(at_, data, size);
+        at_ += size;
+    }
+
+    /** Panic unless the region was filled exactly. */
+    void finish() const;
+
+  private:
+    [[noreturn]] void overrun(std::size_t size) const;
+
+    std::uint8_t *at_;
+    std::uint8_t *end_;
 };
 
 /**

@@ -50,28 +50,13 @@ pcmIntegratorByteProblem(std::uint8_t byte)
            " (only 0, the closed-form integrator, is valid)";
 }
 
-void
-SnapshotPart::seal()
-{
-    crc_ = crc32(out_.bytes().data(), out_.size());
-    sealedSize_ = out_.size();
-}
-
-std::uint32_t
-SnapshotPart::crc() const
-{
-    if (sealedSize_ == out_.size())
-        return crc_;
-    return crc32(out_.bytes().data(), out_.size());
-}
-
 Serializer &
 SnapshotWriter::section(const std::string &tag)
 {
-    return sectionParts(tag, 1).front().out();
+    return sectionParts(tag, 1).front();
 }
 
-std::span<SnapshotPart>
+std::span<Serializer>
 SnapshotWriter::sectionParts(const std::string &tag, std::size_t count)
 {
     if (!validTag(tag))
@@ -81,7 +66,7 @@ SnapshotWriter::sectionParts(const std::string &tag, std::size_t count)
         if (existing.tag == tag)
             fatal("SnapshotWriter: duplicate section '" + tag + "'");
     }
-    sections_.push_back(Section{tag, std::vector<SnapshotPart>(count)});
+    sections_.push_back(Section{tag, std::vector<Serializer>(count)});
     return sections_.back().parts;
 }
 
@@ -96,17 +81,18 @@ SnapshotWriter::writeTo(std::ostream &out) const
     for (const Section &section : sections_) {
         std::uint64_t length = 0;
         std::uint32_t crc = 0;
-        for (const SnapshotPart &part : section.parts) {
-            crc = crc32Combine(crc, part.crc(), part.out().size());
-            length += part.out().size();
+        for (const Serializer &part : section.parts) {
+            crc = crc32Combine(crc, crc32(part.bytes().data(), part.size()),
+                               part.size());
+            length += part.size();
         }
         Serializer frame;
         frame.putBytes(section.tag.data(), 4);
         frame.putU64(length);
         frame.putU32(crc);
         writeBytes(out, frame);
-        for (const SnapshotPart &part : section.parts)
-            writeBytes(out, part.out());
+        for (const Serializer &part : section.parts)
+            writeBytes(out, part);
     }
 }
 

@@ -66,33 +66,6 @@ inline constexpr std::uint8_t kClosedFormIntegratorByte = 0;
  */
 std::string pcmIntegratorByteProblem(std::uint8_t byte);
 
-/**
- * One independently filled piece of a section payload (see
- * SnapshotWriter::sectionParts). seal() checksums the piece where it
- * was filled — inside a parallel fan-out, say — so the write path
- * only combines CRCs instead of re-reading the payload.
- */
-class SnapshotPart
-{
-  public:
-    Serializer &out() { return out_; }
-    const Serializer &out() const { return out_; }
-
-    /** Record the CRC-32 of the bytes appended so far. */
-    void seal();
-
-    /** CRC-32 of the payload: seal()'s value while nothing has been
-     *  appended since (the serializer is append-only), else computed
-     *  now. */
-    std::uint32_t crc() const;
-
-  private:
-    Serializer out_;
-    std::uint32_t crc_ = 0;
-    /** Payload size when seal() ran; SIZE_MAX when never sealed. */
-    std::size_t sealedSize_ = SIZE_MAX;
-};
-
 /** Builds a snapshot file section by section. */
 class SnapshotWriter
 {
@@ -105,15 +78,16 @@ class SnapshotWriter
 
     /**
      * Start a new section whose payload is the in-order
-     * concatenation of @p count parts. The parts may be filled (and
-     * sealed) concurrently, one thread per part; they stay valid
-     * while the writer lives.
+     * concatenation of @p count parts. The parts may be filled
+     * concurrently, one thread per part; they stay valid while the
+     * writer lives.
      */
-    std::span<SnapshotPart> sectionParts(const std::string &tag,
-                                         std::size_t count);
+    std::span<Serializer> sectionParts(const std::string &tag,
+                                       std::size_t count);
 
     /** Stream the container (header, then each section's frame and
-     *  payload parts) into @p out. */
+     *  payload parts) into @p out. Each part is checksummed here and
+     *  the section CRC combined from the parts' (crc32Combine). */
     void writeTo(std::ostream &out) const;
 
     /** The complete container image (tests and in-memory use). */
@@ -137,7 +111,7 @@ class SnapshotWriter
         std::string tag;
         /** Heap-stable: a section's parts never move once created,
          *  so references handed out survive later sections. */
-        std::vector<SnapshotPart> parts;
+        std::vector<Serializer> parts;
     };
 
     std::vector<Section> sections_;

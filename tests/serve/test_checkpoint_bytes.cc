@@ -4,10 +4,11 @@
  * scripted outage and cooling derate, brownout, queue deadline) is
  * checkpointed at 1 and 4 threads. Both files must be byte-identical
  * to each other, and their SHRD section to a serial reference encoder
- * kept here — one buffer, shards in order, departures read back by
- * draining a copy of each queue — which is the pre-parallel layout
- * the production fan-out (one part per shard, concatenated in shard
- * order) must reproduce.
+ * kept here — one buffer, shards in order, each job table through the
+ * put-by-put reference (tests/reference/job_table_save.h), which
+ * reads departures back by draining a copy of each queue — the
+ * pre-parallel layout the production fan-out (one part per shard,
+ * concatenated in shard order) must reproduce.
  *
  * Labelled "state;parallel" so the thread-sanitizer job runs the
  * per-shard fan-out.
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "reference/job_table_save.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
 #include "state/serializer.h"
@@ -45,32 +47,7 @@ struct ShardedDriverTestPeer
         for (const ShardedDriver::Shard &shard : driver.shards_) {
             shard.cluster.saveState(out);
             shard.scheduler->saveState(out);
-            const JobTable &jobs = shard.jobs;
-            out.putSize(jobs.slots().size());
-            for (const SimActiveJob &job : jobs.slots()) {
-                out.putSize(job.serverId);
-                out.putU8(static_cast<std::uint8_t>(job.type));
-                out.putU32(job.pos);
-            }
-            out.putSize(jobs.freeList().size());
-            for (std::uint32_t slot : jobs.freeList())
-                out.putU32(slot);
-            for (std::size_t server = 0;
-                 server < shard.cluster.numServers(); ++server) {
-                for (const WorkloadType type : kAllWorkloads) {
-                    const auto &ids = jobs.residents(server, type);
-                    out.putSize(ids.size());
-                    for (std::uint32_t slot : ids)
-                        out.putU32(slot);
-                }
-            }
-            // Pop order is the documented visit order; drain a copy.
-            out.putSize(jobs.departures().size());
-            IntervalQueue<std::uint32_t> pending = jobs.departures();
-            while (!pending.empty()) {
-                out.putDouble(pending.nextTime());
-                out.putU32(pending.pop());
-            }
+            reference::saveJobTable(shard.jobs, out);
         }
         return out.bytes();
     }

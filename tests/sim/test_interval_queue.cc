@@ -183,6 +183,92 @@ TEST(IntervalQueue, RandomizedDrainMatchesEventQueue)
     EXPECT_TRUE(iq.empty());
 }
 
+TEST(IntervalQueue, CutoffSizedBucketsAndDenseTiesMatchEventQueue)
+{
+    // The randomized equivalence above, with buckets sized around the
+    // insertion-sort cut-off and times drawn from a few values per
+    // bucket (dense ties). Every interval checks the visitPending
+    // order against the heap's full pop order and the drainDue order
+    // against the heap's pops — at the boundary and, sometimes, half
+    // an interval early, which leaves a sorted front drained part-way
+    // for the zero-duration and late inserts that follow.
+    constexpr std::size_t kCut = IntervalQueue<int>::kInsertionSortMax;
+    using Visit = std::pair<Seconds, int>;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        IntervalQueue<int> iq(kDt);
+        EventQueue<int> eq;
+        int next = 0;
+        const auto schedule = [&](Seconds time) {
+            iq.schedule(time, next);
+            eq.schedule(time, next);
+            ++next;
+        };
+        const auto expectVisitMatches = [&](std::size_t interval) {
+            std::vector<Visit> visited;
+            iq.visitPending([&visited](Seconds time, int payload) {
+                visited.emplace_back(time, payload);
+            });
+            std::vector<Visit> expected;
+            EventQueue<int> rest = eq;
+            while (!rest.empty()) {
+                const Seconds time = rest.nextTime();
+                expected.emplace_back(time, rest.pop());
+            }
+            ASSERT_EQ(visited, expected)
+                << "seed " << seed << " interval " << interval;
+        };
+        const auto expectDrainMatches = [&](Seconds now,
+                                            std::size_t interval) {
+            std::vector<int> drained;
+            iq.drainDue(now, [&drained](int p) { drained.push_back(p); });
+            std::vector<int> popped;
+            while (eq.hasEventDue(now))
+                popped.push_back(eq.pop());
+            ASSERT_EQ(drained, popped)
+                << "seed " << seed << " interval " << interval;
+        };
+
+        for (int i = 0; i < 40; ++i)
+            schedule(i % 2 == 0 ? -0.0 : 0.0);
+        for (std::size_t interval = 0; interval < 160; ++interval) {
+            const Seconds now = static_cast<double>(interval) * kDt;
+            if (interval > 0 && rng.below(3) == 0) {
+                expectDrainMatches(now - 0.5 * kDt, interval);
+                for (std::uint64_t k = rng.below(6); k > 0; --k)
+                    schedule(now - 0.5 * kDt); // Zero duration.
+                expectVisitMatches(interval);
+            }
+            expectDrainMatches(now, interval);
+            expectVisitMatches(interval);
+            if (::testing::Test::HasFailure())
+                return;
+
+            // One bucket 1-4 intervals ahead takes a cut-off-sized
+            // batch over three distinct times; a few late and
+            // zero-duration inserts land in the sorted front.
+            const std::size_t sizes[] = {kCut - 1, kCut, kCut + 1,
+                                         rng.below(2 * kCut + 2)};
+            const std::size_t count = sizes[rng.below(4)];
+            const Seconds lo =
+                now + static_cast<double>(rng.below(4)) * kDt;
+            const Seconds ties[] = {lo + rng.uniform(1e-6, kDt),
+                                    lo + rng.uniform(1e-6, kDt),
+                                    lo + kDt};
+            for (std::size_t k = 0; k < count; ++k)
+                schedule(rng.below(8) == 0 ? lo + rng.uniform(1e-6, kDt)
+                                           : ties[rng.below(3)]);
+            for (std::uint64_t k = rng.below(4); k > 0; --k)
+                schedule(rng.below(2) == 0
+                             ? now
+                             : std::max(0.0, now - rng.uniform(0.0, kDt)));
+            expectVisitMatches(interval);
+        }
+        expectDrainMatches(1e12, 0);
+        EXPECT_TRUE(iq.empty());
+    }
+}
+
 /**
  * Long-horizon property: the serving mode runs open-ended, so the
  * queue must stay exact far past the batch driver's two-day traces.

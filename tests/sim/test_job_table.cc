@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference/job_table_save.h"
 #include "server/cluster.h"
 #include "sim/job_table.h"
 #include "state/serializer.h"
@@ -304,6 +305,132 @@ TEST(JobTable, SaveLoadSaveRoundTripIsByteEqual)
                   h.table.drainDue(next, h.cluster));
         h.now = next;
         EXPECT_EQ(saved(loaded), saved(h.table));
+    }
+}
+
+/**
+ * The sized in-place encoder against the put-by-put reference
+ * (tests/reference/job_table_save.h), byte for byte, on tables built
+ * to cover each state the calendar can be in at a checkpoint:
+ * buckets of 0, 1, 2, the insertion-sort cut-off +-1 and up to 300
+ * entries, equal times, -0.0 against +0.0, tombstones, stale freed
+ * slots, and a sorted front bucket drained part-way that then takes
+ * late inserts.
+ */
+TEST(JobTable, SaveMatchesThePutByPutReference)
+{
+    constexpr std::size_t kManyServers = 160;
+    constexpr std::size_t kCut = IntervalQueue<std::uint32_t>::kInsertionSortMax;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        Rng rng(seed);
+        Cluster cluster(kManyServers, ServerSpec{}, ServerThermalParams{},
+                        PowerModel({}, 1.77));
+        JobTable table(kManyServers, kDt);
+        const auto expectMatch = [&](const char *when) {
+            Serializer out;
+            table.save(out);
+            Serializer ref;
+            reference::saveJobTable(table, ref);
+            EXPECT_EQ(out.bytes(), ref.bytes())
+                << when << ", seed " << seed;
+        };
+        const auto bindAs = [&](WorkloadType type, Seconds due) {
+            std::size_t server = rng.below(kManyServers);
+            while (!std::as_const(cluster).server(server).hasCapacity())
+                server = (server + 1) % kManyServers;
+            cluster.addJob(server, type);
+            table.bind(server, type, due);
+        };
+        const auto bind = [&](Seconds due) {
+            bindAs(kAllWorkloads[rng.below(kNumWorkloads)], due);
+        };
+
+        // Bucket 0: -0.0 and +0.0 tie. Bucket k + 1 (times in
+        // (k dt, (k + 1) dt]) gets the k-th size of a shuffled list;
+        // a quarter of its entries share one time, some sit on the
+        // boundary itself.
+        bind(-0.0);
+        bind(0.0);
+        bind(-0.0);
+        std::vector<std::size_t> sizes = {0,        1,        2,
+                                          kCut - 1, kCut,     kCut + 1,
+                                          2 * kCut, 300,      rng.below(301)};
+        for (std::size_t k = sizes.size(); k > 1; --k)
+            std::swap(sizes[k - 1], sizes[rng.below(k)]);
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+            const Seconds lo = static_cast<double>(k) * kDt;
+            const Seconds tie = lo + rng.uniform(1e-6, kDt);
+            for (std::size_t i = 0; i < sizes[k]; ++i) {
+                switch (rng.below(4)) {
+                case 0:
+                    bind(tie);
+                    break;
+                case 1:
+                    bind(lo + kDt);
+                    break;
+                default:
+                    bind(lo + rng.uniform(1e-6, kDt));
+                    break;
+                }
+            }
+        }
+        expectMatch("fresh table");
+
+        // Tombstones: two servers fail; some refugees are re-bound
+        // elsewhere at their due times, the rest stay lost.
+        const std::size_t failed[] = {rng.below(kManyServers / 2),
+                                      kManyServers / 2 +
+                                          rng.below(kManyServers / 2)};
+        for (const std::size_t id : failed)
+            cluster.setHealth(id, ServerHealth::Failed);
+        std::vector<std::pair<WorkloadType, Seconds>> refugees;
+        table.evacuate(failed, cluster,
+                       [&](std::uint32_t, WorkloadType type, Seconds due) {
+                           if (rng.below(2) == 0)
+                               refugees.emplace_back(type, due);
+                       });
+        for (const auto &[type, due] : refugees)
+            bindAs(type, due);
+        for (const std::size_t id : failed)
+            cluster.setHealth(id, ServerHealth::Up);
+        expectMatch("after an evacuation");
+
+        // Stale freed slots, and a front sorted by the drain.
+        table.drainDue(kDt, cluster);
+        expectMatch("after a boundary drain");
+
+        // Drain the next bucket part-way, then insert into its sorted
+        // remainder: zero durations at the drain point, late times
+        // (clamped into the front) and ties with pending entries.
+        const Seconds now = 1.5 * kDt;
+        table.drainDue(now, cluster);
+        expectMatch("front drained part-way");
+        for (int i = 0; i < 60; ++i) {
+            switch (rng.below(3)) {
+            case 0:
+                bind(now);
+                break;
+            case 1:
+                bind(rng.uniform(0.0, now));
+                break;
+            default:
+                bind(now + rng.uniform(0.0, 0.5 * kDt));
+                break;
+            }
+        }
+        expectMatch("late inserts into the sorted front");
+
+        // Reused slots and shrinking buckets, down to an empty table.
+        for (std::size_t b = 2; !table.departures().empty(); ++b) {
+            table.drainDue(static_cast<double>(b) * kDt, cluster);
+            if (rng.below(2) == 0)
+                bind(static_cast<double>(b) * kDt +
+                     rng.uniform(0.0, 3.0 * kDt));
+            expectMatch("draining");
+        }
+        expectMatch("empty calendar");
+        if (::testing::Test::HasFailure())
+            return;
     }
 }
 

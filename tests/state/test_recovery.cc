@@ -1,10 +1,14 @@
 /**
  * @file
- * Crash-recovery layer tests: retained-generation rotation on save,
- * non-fatal failure counting when the path is unwritable, and the
- * multi-candidate recovery scan — newest-first, CRC-validated, with
- * fallback to the previous generation and a fatal only when nothing
- * on disk validates.
+ * Crash-recovery layer tests: retained-generation rotation on commit
+ * (also across back-to-back commits), non-fatal failure counting when
+ * the path is unwritable, the background commit's join — explicit and
+ * in the destructor — and the multi-candidate recovery scan:
+ * newest-first, CRC-validated, with fallback to the previous
+ * generation and a fatal only when nothing on disk validates.
+ *
+ * Labelled "state", so the thread-sanitizer job runs the background
+ * commit.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +17,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "state/recovery.h"
 #include "state/snapshot.h"
+#include "util/atomic_file.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -55,6 +61,16 @@ fileExists(const std::string &path)
     return std::ifstream(path, std::ios::binary).good();
 }
 
+/** Commit one stamped snapshot and wait for it: the outcome. */
+bool
+commitStamp(RecoveryManager &manager, std::uint64_t generation)
+{
+    manager.commit(stampedSnapshot(generation));
+    const std::optional<bool> ok = manager.join();
+    EXPECT_TRUE(ok.has_value()) << "no commit was in flight";
+    return ok.value_or(false);
+}
+
 TEST(Recovery, PreviousPathIsASibling)
 {
     EXPECT_EQ(previousSnapshotPath("run/ck.snap"),
@@ -66,25 +82,52 @@ TEST(Recovery, SaveRotatesTwoGenerations)
     const std::string path = testing::TempDir() + "vmt_rot.snap";
     removeAll(path);
     RecoveryManager manager(path);
+    EXPECT_EQ(manager.join(), std::nullopt); // Nothing in flight.
 
-    // First save: only the primary exists (nothing to retain yet).
-    EXPECT_TRUE(manager.save(stampedSnapshot(1)));
+    // First commit: only the primary exists (nothing to retain yet).
+    EXPECT_TRUE(commitStamp(manager, 1));
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(previousSnapshotPath(path)));
 
-    // Second save: generation 1 rotates to .prev, 2 becomes primary.
-    EXPECT_TRUE(manager.save(stampedSnapshot(2)));
+    // Second commit: generation 1 rotates to .prev, 2 is primary.
+    EXPECT_TRUE(commitStamp(manager, 2));
     EXPECT_EQ(stampOf(SnapshotReader(path)), 2u);
     EXPECT_EQ(stampOf(SnapshotReader(previousSnapshotPath(path))),
               1u);
 
-    // Third save: only the two newest generations are retained.
-    EXPECT_TRUE(manager.save(stampedSnapshot(3)));
+    // Third commit: only the two newest generations are retained.
+    EXPECT_TRUE(commitStamp(manager, 3));
     EXPECT_EQ(stampOf(SnapshotReader(path)), 3u);
     EXPECT_EQ(stampOf(SnapshotReader(previousSnapshotPath(path))),
               2u);
     EXPECT_EQ(manager.failures(), 0u);
     EXPECT_TRUE(manager.lastError().empty());
+    EXPECT_EQ(manager.join(), std::nullopt); // Already settled.
+    removeAll(path);
+}
+
+TEST(Recovery, BackToBackCommitsRotateInCallOrder)
+{
+    // No join between the commits: each one waits for the commit
+    // before it, so every rotation moves the previous call's image to
+    // .prev and the newest call's image ends up primary.
+    const std::string path = testing::TempDir() + "vmt_b2b.snap";
+    removeAll(path);
+    RecoveryManager manager(path);
+    for (std::uint64_t generation = 1; generation <= 6; ++generation) {
+        manager.commit(stampedSnapshot(generation));
+        if (generation < 2)
+            continue;
+        // The commit before this one has landed; this one may have.
+        const std::uint64_t seen = stampOf(SnapshotReader(path));
+        EXPECT_TRUE(seen + 1 == generation || seen == generation)
+            << "generation " << generation << " saw " << seen;
+    }
+    EXPECT_EQ(manager.join(), std::optional<bool>(true));
+    EXPECT_EQ(stampOf(SnapshotReader(path)), 6u);
+    EXPECT_EQ(stampOf(SnapshotReader(previousSnapshotPath(path))),
+              5u);
+    EXPECT_EQ(manager.failures(), 0u);
     removeAll(path);
 }
 
@@ -95,21 +138,45 @@ TEST(Recovery, FailedSaveIsCountedAndKeepsTheLastGood)
     RecoveryManager manager(path);
 
     // The parent directory does not exist, so staging must fail —
-    // without throwing, and with the reason retained.
-    EXPECT_FALSE(manager.save(stampedSnapshot(1)));
+    // without throwing, and with the reason retained. The failure is
+    // counted when it is joined, on this thread.
+    manager.commit(stampedSnapshot(1));
+    EXPECT_EQ(manager.failures(), 0u);
+    EXPECT_EQ(manager.join(), std::optional<bool>(false));
     EXPECT_EQ(manager.failures(), 1u);
-    EXPECT_FALSE(manager.lastError().empty());
+    EXPECT_NE(manager.lastError().find(dir), std::string::npos)
+        << manager.lastError();
     EXPECT_FALSE(fileExists(path));
 
     // A writable path keeps working after failures elsewhere.
     const std::string good = testing::TempDir() + "vmt_good.snap";
     removeAll(good);
     RecoveryManager working(good);
-    EXPECT_TRUE(working.save(stampedSnapshot(7)));
-    EXPECT_FALSE(manager.save(stampedSnapshot(2)));
+    EXPECT_TRUE(commitStamp(working, 7));
+    EXPECT_FALSE(commitStamp(manager, 2));
     EXPECT_EQ(manager.failures(), 2u);
     EXPECT_EQ(stampOf(SnapshotReader(good)), 7u);
+
+    // A success clears the kept reason; the count stays.
+    ASSERT_TRUE(std::filesystem::create_directory(dir));
+    EXPECT_TRUE(commitStamp(manager, 3));
+    EXPECT_EQ(manager.failures(), 2u);
+    EXPECT_TRUE(manager.lastError().empty());
+    std::filesystem::remove_all(dir);
     removeAll(good);
+}
+
+TEST(Recovery, DestructorJoinsTheCommitInFlight)
+{
+    const std::string path = testing::TempDir() + "vmt_dtor.snap";
+    removeAll(path);
+    {
+        RecoveryManager manager(path);
+        manager.commit(stampedSnapshot(5));
+    }
+    EXPECT_EQ(stampOf(SnapshotReader(path)), 5u);
+    EXPECT_FALSE(fileExists(atomicTempPath(path)));
+    removeAll(path);
 }
 
 TEST(Recovery, RecoverPicksTheNewestValidCandidate)
@@ -117,8 +184,8 @@ TEST(Recovery, RecoverPicksTheNewestValidCandidate)
     const std::string path = testing::TempDir() + "vmt_rec.snap";
     removeAll(path);
     RecoveryManager manager(path);
-    ASSERT_TRUE(manager.save(stampedSnapshot(1)));
-    ASSERT_TRUE(manager.save(stampedSnapshot(2)));
+    ASSERT_TRUE(commitStamp(manager, 1));
+    ASSERT_TRUE(commitStamp(manager, 2));
 
     const RecoveredSnapshot recovered = recoverSnapshot(path);
     EXPECT_EQ(recovered.path, path);
@@ -133,8 +200,8 @@ TEST(Recovery, CorruptNewestFallsBackToThePreviousGeneration)
     const std::string path = testing::TempDir() + "vmt_fb.snap";
     removeAll(path);
     RecoveryManager manager(path);
-    ASSERT_TRUE(manager.save(stampedSnapshot(1)));
-    ASSERT_TRUE(manager.save(stampedSnapshot(2)));
+    ASSERT_TRUE(commitStamp(manager, 1));
+    ASSERT_TRUE(commitStamp(manager, 2));
 
     // Flip a payload byte in the newest image: CRC validation must
     // reject it and recovery must land on generation 1.
@@ -158,8 +225,8 @@ TEST(Recovery, TruncatedNewestFallsBackToo)
     const std::string path = testing::TempDir() + "vmt_tr.snap";
     removeAll(path);
     RecoveryManager manager(path);
-    ASSERT_TRUE(manager.save(stampedSnapshot(1)));
-    ASSERT_TRUE(manager.save(stampedSnapshot(2)));
+    ASSERT_TRUE(commitStamp(manager, 1));
+    ASSERT_TRUE(commitStamp(manager, 2));
 
     // Truncate the newest image mid-file (a crash straddling the
     // write on a filesystem without atomic rename semantics).

@@ -72,9 +72,14 @@
  *   --brownout-hold N      cool intervals required per step back up
  *                          (default 5)
  *
- *   --checkpoint-every N   snapshot every N intervals (0 = off); a
- *                          final snapshot is always written on exit
- *                          while enabled. Writes rotate the previous
+ *   --checkpoint-every N   snapshot every N intervals (0 = off);
+ *                          while enabled the exit boundary is
+ *                          snapshotted too, once even when it is a
+ *                          periodic one. The loop only encodes; a
+ *                          background thread writes the file while
+ *                          later intervals run (one write in
+ *                          flight, joined before the next and at
+ *                          exit). Writes rotate the previous
  *                          generation to <path>.prev and survive
  *                          write failures (counted + retried, not
  *                          fatal)
