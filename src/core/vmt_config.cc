@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/logging.h"
 
@@ -10,8 +11,10 @@ namespace vmt {
 std::size_t
 hotGroupSizeFor(const VmtConfig &config, std::size_t num_servers)
 {
-    if (config.groupingValue <= 0.0)
-        fatal("VmtConfig::groupingValue must be positive");
+    if (!(std::isfinite(config.groupingValue) &&
+          config.groupingValue > 0.0))
+        fatal("VmtConfig::groupingValue must be finite and positive, "
+              "got " + std::to_string(config.groupingValue));
     if (config.physicalMeltTemp <= 0.0)
         fatal("VmtConfig::physicalMeltTemp must be positive");
 

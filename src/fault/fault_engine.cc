@@ -1,6 +1,7 @@
 #include "fault/fault_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "server/cluster.h"
@@ -30,9 +31,11 @@ FaultEngine::FaultEngine(const FaultConfig &config,
     }
     if (config_.criticalTemp > 0.0 && config_.criticalRelease < 0.0)
         fatal("FaultConfig::criticalRelease must be non-negative");
-    if (config_.repairTime <= 0.0 && config_.mtbf > 0.0)
-        fatal("FaultConfig::repairTime must be positive when "
-              "stochastic failures are enabled");
+    if (config_.mtbf > 0.0 &&
+        !(std::isfinite(config_.repairTime) && config_.repairTime > 0.0))
+        fatal("FaultConfig::repairTime must be finite and positive "
+              "when stochastic failures are enabled, got " +
+              std::to_string(config_.repairTime));
 }
 
 std::vector<std::size_t>
@@ -144,11 +147,7 @@ FaultEngine::saveState(Serializer &out, const Cluster &cluster) const
 {
     out.putSize(cursor_);
     out.putDouble(supplyRise_);
-    const RngState rng = rng_.state();
-    for (std::uint64_t word : rng.s)
-        out.putU64(word);
-    out.putBool(rng.hasSpare);
-    out.putDouble(rng.spare);
+    saveRng(out, rng_);
     out.putSize(repairs_.size());
     for (const Repair &repair : repairs_) {
         out.putDouble(repair.due);
@@ -167,18 +166,20 @@ FaultEngine::loadState(Deserializer &in, Cluster &cluster)
     if (cursor_ > config_.plan.size())
         fatal("fault snapshot: plan cursor out of range");
     supplyRise_ = in.getDouble();
-    RngState rng;
-    for (std::uint64_t &word : rng.s)
-        word = in.getU64();
-    rng.hasSpare = in.getBool();
-    rng.spare = in.getDouble();
-    rng_.setState(rng);
+    if (!(std::isfinite(supplyRise_) && supplyRise_ >= 0.0))
+        fatal("fault snapshot: supply rise " +
+              std::to_string(supplyRise_) +
+              " is not a finite non-negative number");
+    loadRng(in, rng_);
     repairs_.clear();
     const std::size_t num_repairs = in.getSize();
     for (std::size_t i = 0; i < num_repairs; ++i) {
         Repair repair{};
         repair.due = in.getDouble();
         repair.serverId = in.getSize();
+        if (!std::isfinite(repair.due))
+            fatal("fault snapshot: repair " + std::to_string(i) +
+                  " has a due time that is not finite");
         if (repair.serverId >= numServers_)
             fatal("fault snapshot: repair targets server out of "
                   "range");

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "state/config_echo.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -151,6 +153,44 @@ FaultPlan::loadFile(const std::string &path)
     std::ostringstream body;
     body << in.rdbuf();
     return parse(body.str(), path);
+}
+
+FaultConfig
+faultConfigFromFlags(const Flags &flags)
+{
+    FaultConfig config;
+    if (flags.has("fault-plan"))
+        config.plan = FaultPlan::loadFile(flags.getString("fault-plan"));
+    config.seed =
+        static_cast<std::uint64_t>(flags.getInt("fault-seed", 1));
+    config.mtbf = flags.getNonNegative("fault-mtbf", 0.0);
+    config.repairTime = flags.getNonNegative("fault-repair", 4.0);
+    config.criticalTemp = flags.getNonNegative("critical-temp", 0.0);
+    return config;
+}
+
+void
+echoFaultPlan(ConfigEcho &echo, const FaultPlan &plan)
+{
+    echo.u64("fault plan size", plan.size());
+    for (const FaultEvent &event : plan.events()) {
+        echo.f64("fault event time", event.time);
+        echo.u8("fault event type", static_cast<std::uint8_t>(event.type));
+        echo.u64("fault event server", event.serverId);
+        echo.f64("fault event supply rise", event.supplyRise);
+    }
+}
+
+void
+echoFaultParams(ConfigEcho &echo, const FaultConfig &config)
+{
+    echo.u64("fault seed", config.seed);
+    echo.f64("fault mtbf", config.mtbf);
+    echo.f64("fault mtbf reference temp", config.mtbfRefTemp);
+    echo.f64("fault mtbf doubling delta", config.mtbfDoublingDelta);
+    echo.f64("fault repair time", config.repairTime);
+    echo.f64("fault critical temp", config.criticalTemp);
+    echo.f64("fault critical release", config.criticalRelease);
 }
 
 } // namespace vmt

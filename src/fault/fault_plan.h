@@ -157,6 +157,19 @@ struct FaultConfig
     }
 };
 
+class ConfigEcho;
+class Flags;
+
+/** The front-ends' --fault-* and --critical-temp flags, read before
+ *  any work. @throws FatalError naming a bad flag. */
+FaultConfig faultConfigFromFlags(const Flags &flags);
+
+/** The fault echo of the batch FALT and serving DGRD sections
+ *  (state/config_echo.h), in two parts: the plan (size, then each
+ *  event) and the parameters (seed through criticalRelease). */
+void echoFaultPlan(ConfigEcho &echo, const FaultPlan &plan);
+void echoFaultParams(ConfigEcho &echo, const FaultConfig &config);
+
 } // namespace vmt
 
 #endif // VMT_FAULT_FAULT_PLAN_H

@@ -2,19 +2,23 @@
 
 #include <cstdlib>
 
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace vmt::obs {
 
 ObsOptions
-obsOptionsFromEnv()
+obsOptionsFromFlags(const Flags &flags)
 {
     ObsOptions options;
     if (const char *path = std::getenv("VMT_METRICS_OUT"))
         options.metricsOut = path;
     if (const char *path = std::getenv("VMT_TRACE_EVENTS"))
         options.traceEvents = path;
+    options.metricsOut = flags.getString("metrics-out", options.metricsOut);
+    options.traceEvents =
+        flags.getString("trace-events", options.traceEvents);
     return options;
 }
 

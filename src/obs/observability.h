@@ -27,6 +27,7 @@
 
 namespace vmt {
 
+class Flags;
 class Serializer;
 class Deserializer;
 
@@ -47,8 +48,9 @@ struct ObsOptions
     }
 };
 
-/** Read ObsOptions from VMT_METRICS_OUT / VMT_TRACE_EVENTS. */
-ObsOptions obsOptionsFromEnv();
+/** The front-ends' export paths: VMT_METRICS_OUT / VMT_TRACE_EVENTS
+ *  give the defaults, --metrics-out / --trace-events win. */
+ObsOptions obsOptionsFromFlags(const Flags &flags);
 
 /** Registry + profiler + telemetry for one run at a time. */
 class Observability

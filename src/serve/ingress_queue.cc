@@ -1,5 +1,6 @@
 #include "serve/ingress_queue.h"
 
+#include "state/config_echo.h"
 #include "state/serializer.h"
 #include "util/logging.h"
 
@@ -39,7 +40,7 @@ IngressQueue::clear()
 void
 IngressQueue::saveState(Serializer &out) const
 {
-    out.putSize(ring_.size());
+    ConfigEcho(out).u64("ingress capacity", ring_.size());
     out.putSize(count_);
     for (std::size_t i = 0; i < count_; ++i)
         saveFeedJob(out, ring_[(head_ + i) % ring_.size()]);
@@ -48,16 +49,11 @@ IngressQueue::saveState(Serializer &out) const
 void
 IngressQueue::loadState(Deserializer &in)
 {
-    const std::size_t capacity = in.getSize();
-    if (capacity != ring_.size())
-        fatal("serve snapshot ingress capacity " +
-              std::to_string(capacity) +
-              " does not match the configured " +
-              std::to_string(ring_.size()));
+    ConfigEcho(in, "serve snapshot").u64("ingress capacity", ring_.size());
     if (count_ != 0)
         fatal("IngressQueue::loadState on a non-empty queue");
     const std::size_t pending = in.getSize();
-    if (pending > capacity)
+    if (pending > ring_.size())
         fatal("serve snapshot ingress depth exceeds its capacity");
     for (std::size_t i = 0; i < pending; ++i)
         ring_[i] = loadFeedJob(in, "ingress entry " + std::to_string(i));

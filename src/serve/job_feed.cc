@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "state/config_echo.h"
 #include "state/serializer.h"
 #include "util/logging.h"
 #include "workload/job_generator.h"
@@ -22,19 +23,6 @@ badLine(const std::string &origin, std::size_t line,
           why);
 }
 
-/** Exact-equality config check for feed snapshots (resume must use
- *  the configuration that produced the checkpoint). */
-void
-checkFeedDouble(const char *what, double snap, double now)
-{
-    if (!(snap == now))
-        fatal("serve feed snapshot does not match the configured "
-              "feed (" +
-              std::string(what) + ": snapshot " +
-              std::to_string(snap) + ", run " + std::to_string(now) +
-              ")");
-}
-
 /** A snapshot time or duration must be finite and non-negative. */
 void
 checkSnapshotSeconds(const std::string &what, const char *field,
@@ -44,27 +32,6 @@ checkSnapshotSeconds(const std::string &what, const char *field,
         fatal("serve snapshot " + what + " has an invalid " + field +
               " (" + std::to_string(value) +
               "; need a finite non-negative number)");
-}
-
-void
-saveRng(Serializer &out, const Rng &rng)
-{
-    const RngState state = rng.state();
-    for (std::uint64_t word : state.s)
-        out.putU64(word);
-    out.putBool(state.hasSpare);
-    out.putDouble(state.spare);
-}
-
-void
-loadRng(Deserializer &in, Rng &rng)
-{
-    RngState state;
-    for (std::uint64_t &word : state.s)
-        word = in.getU64();
-    state.hasSpare = in.getBool();
-    state.spare = in.getDouble();
-    rng.setState(state);
 }
 
 } // namespace
@@ -193,18 +160,25 @@ SyntheticFeed::arrivalsUntil(Seconds end, std::vector<FeedJob> &out)
 }
 
 void
+echoSyntheticFeedParams(ConfigEcho &echo, const SyntheticFeedParams &params)
+{
+    echo.f64("feed users", params.users);
+    echo.f64("feed requests per user hour", params.requestsPerUserHour);
+    echo.f64("feed diurnal trough", params.diurnalTrough);
+    echo.f64("feed ramp hours", params.rampHours);
+    echo.f64("feed burst period hours", params.burstPeriodHours);
+    echo.f64("feed burst factor", params.burstFactor);
+    echo.f64("feed burst minutes", params.burstMinutes);
+    echo.u64("feed seed", params.seed);
+}
+
+void
 SyntheticFeed::saveState(Serializer &out) const
 {
     // Parameter echo: a resume under different shape parameters would
     // silently change the remaining stream, so refuse it instead.
-    out.putDouble(params_.users);
-    out.putDouble(params_.requestsPerUserHour);
-    out.putDouble(params_.diurnalTrough);
-    out.putDouble(params_.rampHours);
-    out.putDouble(params_.burstPeriodHours);
-    out.putDouble(params_.burstFactor);
-    out.putDouble(params_.burstMinutes);
-    out.putU64(params_.seed);
+    ConfigEcho echo(out);
+    echoSyntheticFeedParams(echo, params_);
 
     saveRng(out, rng_);
     out.putDouble(candidateTime_);
@@ -217,21 +191,8 @@ SyntheticFeed::saveState(Serializer &out) const
 void
 SyntheticFeed::loadState(Deserializer &in)
 {
-    checkFeedDouble("users", in.getDouble(), params_.users);
-    checkFeedDouble("requestsPerUserHour", in.getDouble(),
-                    params_.requestsPerUserHour);
-    checkFeedDouble("diurnalTrough", in.getDouble(),
-                    params_.diurnalTrough);
-    checkFeedDouble("rampHours", in.getDouble(), params_.rampHours);
-    checkFeedDouble("burstPeriodHours", in.getDouble(),
-                    params_.burstPeriodHours);
-    checkFeedDouble("burstFactor", in.getDouble(),
-                    params_.burstFactor);
-    checkFeedDouble("burstMinutes", in.getDouble(),
-                    params_.burstMinutes);
-    if (in.getU64() != params_.seed)
-        fatal("serve feed snapshot does not match the configured "
-              "feed (seed differs)");
+    ConfigEcho echo(in, "serve snapshot");
+    echoSyntheticFeedParams(echo, params_);
 
     loadRng(in, rng_);
     candidateTime_ = in.getDouble();
@@ -377,7 +338,7 @@ LineFeed::exhausted() const
 void
 LineFeed::saveState(Serializer &out) const
 {
-    out.putU64(static_cast<std::uint64_t>(totalCores_));
+    ConfigEcho(out).u64("line feed total cores", totalCores_);
     // The pending (parsed but not yet due) event is *not* consumed:
     // the replay skips only fully emitted events, so the resumed feed
     // re-parses it from the input.
@@ -387,12 +348,8 @@ LineFeed::saveState(Serializer &out) const
 void
 LineFeed::loadState(Deserializer &in)
 {
-    const std::uint64_t cores = in.getU64();
-    if (cores != static_cast<std::uint64_t>(totalCores_))
-        fatal("serve feed snapshot does not match the configured "
-              "feed (totalCores: snapshot " +
-              std::to_string(cores) + ", run " +
-              std::to_string(totalCores_) + ")");
+    ConfigEcho(in, "serve snapshot").u64("line feed total cores",
+                                         totalCores_);
     skipEvents_ = in.getU64();
     if (pendingEvent_ || eventsConsumed_ != 0)
         fatal("LineFeed::loadState on a feed that already consumed "

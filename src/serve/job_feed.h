@@ -38,6 +38,7 @@
 
 namespace vmt {
 
+class ConfigEcho;
 class Serializer;
 class Deserializer;
 
@@ -117,6 +118,11 @@ struct SyntheticFeedParams
     /** Seed for the arrival/type/duration draws. */
     std::uint64_t seed = 7;
 };
+
+/** The synthetic feed's configuration echo, at the head of its FEED
+ *  section (state/config_echo.h). */
+void echoSyntheticFeedParams(ConfigEcho &echo,
+                             const SyntheticFeedParams &params);
 
 /**
  * Deterministic non-homogeneous Poisson arrival generator.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/policy_factory.h"
+#include "state/config_echo.h"
 #include "state/recovery.h"
 #include "state/snapshot.h"
 #include "util/logging.h"
@@ -16,34 +17,8 @@ namespace vmt::serve {
 
 namespace {
 
-/** Fatal with a consistent prefix for config/snapshot disagreements. */
-[[noreturn]] void
-mismatch(const std::string &what)
-{
-    fatal("serve snapshot does not match the configured run (" +
-          what + "); resume requires the exact configuration and "
-                 "feed that produced the checkpoint");
-}
-
-void
-checkU64(const char *what, std::uint64_t snap, std::uint64_t now)
-{
-    if (snap != now)
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " +
-                 std::to_string(now));
-}
-
-void
-checkDouble(const char *what, double snap, double now)
-{
-    // Exact comparison on purpose: bitwise-identical resume needs
-    // the exact same constants, not merely close ones.
-    if (!(snap == now))
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " +
-                 std::to_string(now));
-}
+/** Names serving checkpoints in mismatch errors. */
+constexpr const char *kContext = "serve snapshot";
 
 /**
  * The serving driver's metric/phase handles, resolved once per run.
@@ -471,48 +446,33 @@ ShardedDriver::admit(Seconds now)
     // Pop at most the budget's worth of queued arrivals, route them
     // over free cores; what the fleet cannot hold re-queues (queue
     // policy) or sheds. Under the shed policy backlog never carries
-    // across intervals.
-    admitBuf_.clear();
-    if (!degraded_) {
-        const std::size_t budget = config_.admissionBudget > 0
-                                       ? config_.admissionBudget
-                                       : ingress_.size();
-        ingress_.consume([&](std::span<const FeedJob> run) {
-            const std::size_t take =
-                std::min(run.size(), budget - admitBuf_.size());
-            admitBuf_.insert(admitBuf_.end(), run.begin(),
-                             run.begin() +
-                                 static_cast<std::ptrdiff_t>(take));
-            return take;
-        });
-    } else {
-        // Brownout steps the effective budget down before the pop;
-        // the queue-age deadline sheds stale arrivals at the pop (the
-        // ring is not time-sorted once re-queues happen, so only a
-        // per-job check catches every stale entry) without charging
-        // them against the budget.
-        std::size_t budget = config_.admissionBudget;
-        if (brownout_) {
-            budget = brownout_->effectiveBudget(config_.admissionBudget,
-                                                totalCores_);
-            if (brownout_->level() > 0)
-                ++brownoutIntervals_;
-        }
-        const bool deadline = config_.maxQueueAge > 0.0;
-        const Seconds cutoff = now - config_.maxQueueAge;
-        ingress_.consume([&](std::span<const FeedJob> run) {
-            std::size_t k = 0;
-            for (; k < run.size() &&
-                   (budget == 0 || admitBuf_.size() < budget);
-                 ++k) {
-                if (deadline && run[k].time < cutoff)
-                    ++expired_;
-                else
-                    admitBuf_.push_back(run[k]);
-            }
-            return k;
-        });
+    // across intervals. Brownout steps the budget (0 = unlimited)
+    // down before the pop; a queue-age deadline sheds stale arrivals
+    // at the pop (the ring is not time-sorted once re-queues happen,
+    // so only a per-job check catches every stale entry) without
+    // charging them against the budget.
+    std::size_t budget = config_.admissionBudget;
+    if (brownout_) {
+        budget = brownout_->effectiveBudget(config_.admissionBudget,
+                                            totalCores_);
+        if (brownout_->level() > 0)
+            ++brownoutIntervals_;
     }
+    const bool deadline = config_.maxQueueAge > 0.0;
+    const Seconds cutoff = now - config_.maxQueueAge;
+    admitBuf_.clear();
+    ingress_.consume([&](std::span<const FeedJob> run) {
+        std::size_t k = 0;
+        for (; k < run.size() &&
+               (budget == 0 || admitBuf_.size() < budget);
+             ++k) {
+            if (deadline && run[k].time < cutoff)
+                ++expired_;
+            else
+                admitBuf_.push_back(run[k]);
+        }
+        return k;
+    });
     const std::size_t routed = routeToShards(admitBuf_);
     admitted_ += routed;
     const std::size_t unrouted = admitBuf_.size() - routed;
@@ -545,8 +505,8 @@ ShardedDriver::run(JobFeed &feed,
         completed = loadCheckpoint(feed, config_.resumeFrom);
     result.resumedIntervals = completed;
     if (config_.maxIntervals > 0 && completed > config_.maxIntervals)
-        fatal("serve snapshot has more completed intervals than the "
-              "configured run length");
+        configMismatch(kContext, "snapshot has more completed intervals "
+                                 "than the configured run length");
 
     obs::Observability *const o = config_.obs;
     ServeObs sobs;
@@ -598,8 +558,10 @@ ShardedDriver::run(JobFeed &feed,
     std::optional<RecoveryManager> recovery;
     if (config_.checkpointEvery > 0) {
         recovery.emplace(config_.checkpointPath);
-        if (degraded_)
-            degradedEcho_ = encodeDegradedEcho();
+        if (degraded_) {
+            ConfigEcho echo(degradedEcho_);
+            echoDegradedConfig(echo, config_);
+        }
     }
     // The boundary being committed, and the newest one on disk.
     std::size_t committing = 0;
@@ -997,6 +959,43 @@ ShardedDriver::run(JobFeed &feed,
 }
 
 void
+echoServeConfig(ConfigEcho &echo, const ServeConfig &config,
+                const std::string &scheduler, const std::string &feed)
+{
+    echo.u64("server count", config.numServers);
+    echo.u64("pod size", config.podSize);
+    echo.f64("interval", config.interval);
+    echo.u64("seed", config.seed);
+    echo.f64("power scale", config.powerScale);
+    echo.f64("overheat temp", config.overheatTemp);
+    echo.u64("queue capacity", config.queueCapacity);
+    echo.u64("admission budget", config.admissionBudget);
+    echo.u8("admission policy", static_cast<std::uint8_t>(config.admit));
+    echo.text("scheduler", scheduler);
+    echo.f64("grouping value", config.gv);
+    echo.f64("wax threshold", config.waxThreshold);
+    echo.pcmIntegrator();
+    echo.text("feed", feed);
+}
+
+void
+echoDegradedConfig(ConfigEcho &echo, const ServeConfig &config)
+{
+    echo.flag("fault enable", config.faults.enable);
+    echoFaultPlan(echo, config.faults.plan);
+    echoFaultParams(echo, config.faults);
+    echo.f64("brownout air watermark", config.brownout.maxAirTemp);
+    echo.f64("brownout release", config.brownout.release);
+    echo.f64("brownout melt watermark", config.brownout.maxMelt);
+    echo.f64("brownout melt release", config.brownout.meltRelease);
+    echo.f64("brownout step", config.brownout.step);
+    echo.f64("brownout floor", config.brownout.floor);
+    echo.u64("brownout hold", config.brownout.holdIntervals);
+    echo.f64("max queue age", config.maxQueueAge);
+    echo.u64("evac retries", config.evacRetries);
+}
+
+void
 ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
                                const JobFeed &feed,
                                std::size_t completed) const
@@ -1005,20 +1004,9 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     // under a different configuration or feed is refused.
     Serializer &conf = writer.section("SCON");
     conf.putSize(completed);
-    conf.putSize(config_.numServers);
-    conf.putSize(config_.podSize);
-    conf.putDouble(config_.interval);
-    conf.putU64(config_.seed);
-    conf.putDouble(config_.powerScale);
-    conf.putDouble(config_.overheatTemp);
-    conf.putSize(config_.queueCapacity);
-    conf.putSize(config_.admissionBudget);
-    conf.putU8(static_cast<std::uint8_t>(config_.admit));
-    conf.putString(shards_.front().scheduler->name());
-    conf.putDouble(config_.gv);
-    conf.putDouble(config_.waxThreshold);
-    conf.putU8(kClosedFormIntegratorByte);
-    conf.putString(feed.name());
+    ConfigEcho conf_echo(conf);
+    echoServeConfig(conf_echo, config_, shards_.front().scheduler->name(),
+                    feed.name());
 
     feed.saveState(writer.section("FEED"));
 
@@ -1049,7 +1037,7 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     // is byte-identical at any thread count.
     const std::span<Serializer> shrd =
         writer.sectionParts("SHRD", shards_.size() + 1);
-    shrd.front().putSize(shards_.size());
+    ConfigEcho(shrd.front()).u64("shard count", shards_.size());
     parallelFor(globalPool(), 0, shards_.size(), 1,
                 [&](std::size_t begin, std::size_t end) {
                     for (std::size_t s = begin; s < end; ++s) {
@@ -1082,38 +1070,6 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     }
 }
 
-Serializer
-ShardedDriver::encodeDegradedEcho() const
-{
-    Serializer echo;
-    echo.putBool(config_.faults.enable);
-    const FaultPlan &plan = config_.faults.plan;
-    echo.putSize(plan.size());
-    for (const FaultEvent &event : plan.events()) {
-        echo.putDouble(event.time);
-        echo.putU8(static_cast<std::uint8_t>(event.type));
-        echo.putSize(event.serverId);
-        echo.putDouble(event.supplyRise);
-    }
-    echo.putU64(config_.faults.seed);
-    echo.putDouble(config_.faults.mtbf);
-    echo.putDouble(config_.faults.mtbfRefTemp);
-    echo.putDouble(config_.faults.mtbfDoublingDelta);
-    echo.putDouble(config_.faults.repairTime);
-    echo.putDouble(config_.faults.criticalTemp);
-    echo.putDouble(config_.faults.criticalRelease);
-    echo.putDouble(config_.brownout.maxAirTemp);
-    echo.putDouble(config_.brownout.release);
-    echo.putDouble(config_.brownout.maxMelt);
-    echo.putDouble(config_.brownout.meltRelease);
-    echo.putDouble(config_.brownout.step);
-    echo.putDouble(config_.brownout.floor);
-    echo.putSize(config_.brownout.holdIntervals);
-    echo.putDouble(config_.maxQueueAge);
-    echo.putSize(config_.evacRetries);
-    return echo;
-}
-
 std::size_t
 ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
 {
@@ -1125,38 +1081,9 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
 
     Deserializer conf = reader.section("SCON");
     const std::size_t completed = conf.getSize();
-    checkU64("server count", conf.getSize(), config_.numServers);
-    checkU64("pod size", conf.getSize(), config_.podSize);
-    checkDouble("interval", conf.getDouble(), config_.interval);
-    checkU64("seed", conf.getU64(), config_.seed);
-    checkDouble("power scale", conf.getDouble(), config_.powerScale);
-    checkDouble("overheat temp", conf.getDouble(),
-                config_.overheatTemp);
-    checkU64("queue capacity", conf.getSize(),
-             config_.queueCapacity);
-    checkU64("admission budget", conf.getSize(),
-             config_.admissionBudget);
-    const auto admit = static_cast<AdmitPolicy>(conf.getU8());
-    if (admit != config_.admit)
-        mismatch(std::string("admission policy: snapshot ") +
-                 admitPolicyName(admit) + ", run " +
-                 admitPolicyName(config_.admit));
-    const std::string scheduler_name = conf.getString();
-    if (scheduler_name != shards_.front().scheduler->name())
-        mismatch("scheduler: snapshot '" + scheduler_name +
-                 "', run '" + shards_.front().scheduler->name() +
-                 "'");
-    checkDouble("grouping value", conf.getDouble(), config_.gv);
-    checkDouble("wax threshold", conf.getDouble(),
-                config_.waxThreshold);
-    if (const std::string problem =
-            pcmIntegratorByteProblem(conf.getU8());
-        !problem.empty())
-        mismatch(problem);
-    const std::string feed_name = conf.getString();
-    if (feed_name != feed.name())
-        mismatch("feed: snapshot '" + feed_name + "', run '" +
-                 feed.name() + "'");
+    ConfigEcho conf_echo(conf, kContext);
+    echoServeConfig(conf_echo, config_, shards_.front().scheduler->name(),
+                    feed.name());
     conf.expectEnd();
 
     Deserializer feed_state = reader.section("FEED");
@@ -1182,7 +1109,7 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     ingr.expectEnd();
 
     Deserializer shrd = reader.section("SHRD");
-    checkU64("shard count", shrd.getSize(), shards_.size());
+    ConfigEcho(shrd, kContext).u64("shard count", shards_.size());
     const Seconds resume_time =
         static_cast<double>(completed) * config_.interval;
     for (Shard &shard : shards_) {
@@ -1196,60 +1123,17 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     // DGRD must be present exactly when the run is degraded: a
     // degraded run cannot resume a clean snapshot (the fault state
     // is missing) and vice versa.
-    if (degraded_ != reader.has("DGRD")) {
-        if (degraded_)
-            mismatch("snapshot carries no degraded-mode state but "
-                     "the run configures faults/brownout/deadline");
-        mismatch("snapshot carries degraded-mode state but the run "
-                 "configures none");
-    }
+    if (degraded_ != reader.has("DGRD"))
+        configMismatch(kContext,
+                       degraded_ ? "snapshot carries no degraded-mode "
+                                   "state but the run configures "
+                                   "faults/brownout/deadline"
+                                 : "snapshot carries degraded-mode "
+                                   "state but the run configures none");
     if (degraded_) {
         Deserializer dgrd = reader.section("DGRD");
-        if (dgrd.getBool() != config_.faults.enable)
-            mismatch("fault-engine enable flag");
-        const FaultPlan &plan = config_.faults.plan;
-        checkU64("fault plan size", dgrd.getSize(), plan.size());
-        for (const FaultEvent &event : plan.events()) {
-            checkDouble("fault event time", dgrd.getDouble(),
-                        event.time);
-            checkU64("fault event type", dgrd.getU8(),
-                     static_cast<std::uint8_t>(event.type));
-            checkU64("fault event server", dgrd.getSize(),
-                     event.serverId);
-            checkDouble("fault event supply rise", dgrd.getDouble(),
-                        event.supplyRise);
-        }
-        checkU64("fault seed", dgrd.getU64(), config_.faults.seed);
-        checkDouble("fault mtbf", dgrd.getDouble(),
-                    config_.faults.mtbf);
-        checkDouble("fault mtbf ref temp", dgrd.getDouble(),
-                    config_.faults.mtbfRefTemp);
-        checkDouble("fault mtbf doubling delta", dgrd.getDouble(),
-                    config_.faults.mtbfDoublingDelta);
-        checkDouble("fault repair time", dgrd.getDouble(),
-                    config_.faults.repairTime);
-        checkDouble("fault critical temp", dgrd.getDouble(),
-                    config_.faults.criticalTemp);
-        checkDouble("fault critical release", dgrd.getDouble(),
-                    config_.faults.criticalRelease);
-        checkDouble("brownout air watermark", dgrd.getDouble(),
-                    config_.brownout.maxAirTemp);
-        checkDouble("brownout release", dgrd.getDouble(),
-                    config_.brownout.release);
-        checkDouble("brownout melt watermark", dgrd.getDouble(),
-                    config_.brownout.maxMelt);
-        checkDouble("brownout melt release", dgrd.getDouble(),
-                    config_.brownout.meltRelease);
-        checkDouble("brownout step", dgrd.getDouble(),
-                    config_.brownout.step);
-        checkDouble("brownout floor", dgrd.getDouble(),
-                    config_.brownout.floor);
-        checkU64("brownout hold", dgrd.getSize(),
-                 config_.brownout.holdIntervals);
-        checkDouble("max queue age", dgrd.getDouble(),
-                    config_.maxQueueAge);
-        checkU64("evac retries", dgrd.getSize(),
-                 config_.evacRetries);
+        ConfigEcho dgrd_echo(dgrd, kContext);
+        echoDegradedConfig(dgrd_echo, config_);
 
         evacuated_ = dgrd.getU64();
         migrated_ = dgrd.getU64();

@@ -70,6 +70,7 @@
 #include "util/units.h"
 
 namespace vmt {
+class ConfigEcho;
 class SnapshotWriter;
 } // namespace vmt
 
@@ -255,6 +256,15 @@ struct ServeResult
     std::vector<double> placementSeconds;
 };
 
+/** The SCON section's configuration echo (state/config_echo.h). */
+void echoServeConfig(ConfigEcho &echo, const ServeConfig &config,
+                     const std::string &scheduler,
+                     const std::string &feed);
+
+/** The DGRD section's configuration echo: fault enable, plan and
+ *  parameters, then the brownout, deadline and retry settings. */
+void echoDegradedConfig(ConfigEcho &echo, const ServeConfig &config);
+
 /**
  * The sharded serving driver. Construct once per run; run() drives
  * the interval loop until the feed drains, the interval cap is hit,
@@ -359,9 +369,6 @@ class ShardedDriver
                          std::size_t completed) const;
     std::size_t loadCheckpoint(JobFeed &feed,
                                const std::string &path);
-    /** DGRD's configuration echo: the fault plan, fault-engine,
-     *  brownout, deadline and retry settings loadCheckpoint checks. */
-    Serializer encodeDegradedEcho() const;
 
     ServeConfig config_;
     PowerModel power_;
@@ -404,9 +411,9 @@ class ShardedDriver
     std::vector<std::size_t> freeEst_;
     /** The router for admissions and refugee rounds. */
     Waterfill waterfill_;
-    /** encodeDegradedEcho(), built once per checkpointing degraded
-     *  run: the config is constant, and at 10k servers the fault
-     *  plan is most of the DGRD section. */
+    /** echoDegradedConfig's bytes, encoded once per checkpointing
+     *  degraded run: the config is constant, and at 10k servers the
+     *  fault plan is most of the DGRD section. */
     Serializer degradedEcho_;
     bool ran_ = false;
 };

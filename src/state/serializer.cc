@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace vmt {
 
@@ -175,6 +176,27 @@ zeroBytesModP(std::uint64_t size)
 }
 
 } // namespace
+
+void
+saveRng(Serializer &out, const Rng &rng)
+{
+    const RngState state = rng.state();
+    for (std::uint64_t word : state.s)
+        out.putU64(word);
+    out.putBool(state.hasSpare);
+    out.putDouble(state.spare);
+}
+
+void
+loadRng(Deserializer &in, Rng &rng)
+{
+    RngState state;
+    for (std::uint64_t &word : state.s)
+        word = in.getU64();
+    state.hasSpare = in.getBool();
+    state.spare = in.getDouble();
+    rng.setState(state);
+}
 
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)

@@ -28,6 +28,8 @@
 
 namespace vmt {
 
+class Rng;
+
 static_assert(std::endian::native == std::endian::little,
               "the snapshot encoding appends native bytes as its "
               "little-endian layout");
@@ -165,6 +167,12 @@ class Deserializer
     std::size_t size_;
     std::size_t pos_ = 0;
 };
+
+/** An Rng's whole state (its four words, then the cached normal
+ *  deviate's flag and value), so a restored stream continues
+ *  bit for bit. */
+void saveRng(Serializer &out, const Rng &rng);
+void loadRng(Deserializer &in, Rng &rng);
 
 /** CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected),
  *  slice-by-8. */

@@ -5,6 +5,7 @@
 
 #include "fault/fault_engine.h"
 #include "obs/observability.h"
+#include "state/config_echo.h"
 #include "state/snapshot.h"
 #include "util/logging.h"
 
@@ -12,32 +13,8 @@ namespace vmt {
 
 namespace {
 
-/** Fatal with a consistent prefix for config/snapshot disagreements. */
-[[noreturn]] void
-mismatch(const std::string &what)
-{
-    fatal("snapshot does not match the configured run (" + what +
-          "); resume requires the exact configuration that produced "
-          "the checkpoint");
-}
-
-void
-checkU64(const char *what, std::uint64_t snap, std::uint64_t now)
-{
-    if (snap != now)
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " + std::to_string(now));
-}
-
-void
-checkDouble(const char *what, double snap, double now)
-{
-    // Exact comparison on purpose: bitwise-identical resume needs the
-    // exact same constants, not merely close ones.
-    if (!(snap == now))
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " + std::to_string(now));
-}
+/** Names the batch driver's snapshots in mismatch errors. */
+constexpr const char *kContext = "snapshot";
 
 void
 saveSeries(Serializer &out, const TimeSeries &series)
@@ -79,20 +56,51 @@ loadHeatmap(Deserializer &in, std::optional<Heatmap> &map,
 {
     const bool present = in.getBool();
     if (present != map.has_value())
-        mismatch(std::string(what) +
-                 " heatmap recording on/off differs");
+        configMismatch(kContext, std::string(what) +
+                                     " heatmap recording on/off differs");
     if (!present)
         return;
     const std::size_t rows = in.getSize();
     const std::size_t cols = in.getSize();
     if (rows != map->rows() || cols != map->cols())
-        mismatch(std::string(what) + " heatmap dimensions differ");
+        configMismatch(kContext,
+                       std::string(what) + " heatmap dimensions differ");
     for (std::size_t row = 0; row < rows; ++row)
         for (std::size_t col = 0; col < cols; ++col)
             map->at(row, col) = in.getDouble();
 }
 
+/** FALT's configuration echo: enable flag, parameters, plan. */
+void
+echoFaultLayer(ConfigEcho &echo, const FaultConfig &faults)
+{
+    echo.flag("fault enable", faults.enable);
+    echoFaultParams(echo, faults);
+    echoFaultPlan(echo, faults.plan);
+}
+
 } // namespace
+
+void
+echoSimConfig(ConfigEcho &echo, const SimConfig &config,
+              std::size_t num_intervals, const std::string &scheduler)
+{
+    echo.u64("run length", num_intervals);
+    echo.u64("server count", config.numServers);
+    echo.u64("seed", config.seed);
+    echo.f64("interval", config.interval);
+    echo.f64("power scale", config.powerScale);
+    echo.f64("inlet stddev", config.inletStddev);
+    echo.f64("cooling capacity", config.coolingCapacity);
+    echo.f64("cooling overload rise", config.coolingOverloadRise);
+    echo.f64("overheat temp", config.overheatTemp);
+    echo.u64("migration budget", config.migrationBudget);
+    echo.u64("peak window", config.peakWindow);
+    echo.flag("recirculation modelling", config.modelRecirculation);
+    echo.flag("heatmap recording", config.recordHeatmaps);
+    echo.pcmIntegrator();
+    echo.text("scheduler", scheduler);
+}
 
 void
 saveSnapshot(const SimState &state, std::size_t completed,
@@ -106,21 +114,9 @@ saveSnapshot(const SimState &state, std::size_t completed,
     // (verified on load), not restored state.
     Serializer &conf = writer.section("CONF");
     conf.putSize(completed);
-    conf.putSize(state.numIntervals);
-    conf.putSize(config.numServers);
-    conf.putU64(config.seed);
-    conf.putDouble(config.interval);
-    conf.putDouble(config.powerScale);
-    conf.putDouble(config.inletStddev);
-    conf.putDouble(config.coolingCapacity);
-    conf.putDouble(config.coolingOverloadRise);
-    conf.putDouble(config.overheatTemp);
-    conf.putSize(config.migrationBudget);
-    conf.putSize(config.peakWindow);
-    conf.putBool(config.modelRecirculation);
-    conf.putBool(config.recordHeatmaps);
-    conf.putU8(kClosedFormIntegratorByte);
-    conf.putString(state.scheduler.name());
+    ConfigEcho conf_echo(conf);
+    echoSimConfig(conf_echo, config, state.numIntervals,
+                  state.scheduler.name());
 
     state.generator.saveState(writer.section("GENR"));
     const Cluster &cluster = state.cluster;
@@ -161,22 +157,8 @@ saveSnapshot(const SimState &state, std::size_t completed,
     // telemetry. Always written — a disabled layer round-trips as
     // "inactive" — so every v2 snapshot has the same section set.
     Serializer &falt = writer.section("FALT");
-    const FaultConfig &fc = config.faults;
-    falt.putBool(fc.enable);
-    falt.putU64(fc.seed);
-    falt.putDouble(fc.mtbf);
-    falt.putDouble(fc.mtbfRefTemp);
-    falt.putDouble(fc.mtbfDoublingDelta);
-    falt.putDouble(fc.repairTime);
-    falt.putDouble(fc.criticalTemp);
-    falt.putDouble(fc.criticalRelease);
-    falt.putSize(fc.plan.size());
-    for (const FaultEvent &event : fc.plan.events()) {
-        falt.putDouble(event.time);
-        falt.putU8(static_cast<std::uint8_t>(event.type));
-        falt.putSize(event.serverId);
-        falt.putDouble(event.supplyRise);
-    }
+    ConfigEcho falt_echo(falt);
+    echoFaultLayer(falt_echo, config.faults);
     falt.putBool(state.faults != nullptr);
     if (state.faults)
         state.faults->saveState(falt, cluster);
@@ -202,36 +184,14 @@ loadSnapshot(SimState &state, const std::string &path)
 
     Deserializer conf = reader.section("CONF");
     const std::size_t completed = conf.getSize();
-    checkU64("run length", conf.getSize(), state.numIntervals);
+    ConfigEcho conf_echo(conf, kContext);
+    echoSimConfig(conf_echo, config, state.numIntervals,
+                  state.scheduler.name());
     if (completed > state.numIntervals)
-        fatal("snapshot claims " + std::to_string(completed) +
-              " completed intervals of " +
-              std::to_string(state.numIntervals));
-    checkU64("server count", conf.getSize(), config.numServers);
-    checkU64("seed", conf.getU64(), config.seed);
-    checkDouble("interval", conf.getDouble(), config.interval);
-    checkDouble("power scale", conf.getDouble(), config.powerScale);
-    checkDouble("inlet stddev", conf.getDouble(), config.inletStddev);
-    checkDouble("cooling capacity", conf.getDouble(),
-                config.coolingCapacity);
-    checkDouble("cooling overload rise", conf.getDouble(),
-                config.coolingOverloadRise);
-    checkDouble("overheat temp", conf.getDouble(), config.overheatTemp);
-    checkU64("migration budget", conf.getSize(),
-             config.migrationBudget);
-    checkU64("peak window", conf.getSize(), config.peakWindow);
-    if (conf.getBool() != config.modelRecirculation)
-        mismatch("recirculation modelling on/off differs");
-    if (conf.getBool() != config.recordHeatmaps)
-        mismatch("heatmap recording on/off differs");
-    if (const std::string problem =
-            pcmIntegratorByteProblem(conf.getU8());
-        !problem.empty())
-        mismatch(problem);
-    const std::string scheduler_name = conf.getString();
-    if (scheduler_name != state.scheduler.name())
-        mismatch("scheduler: snapshot '" + scheduler_name +
-                 "', run '" + state.scheduler.name() + "'");
+        configMismatch(kContext, "snapshot claims " +
+                                     std::to_string(completed) +
+                                     " completed intervals of " +
+                                     std::to_string(state.numIntervals));
     conf.expectEnd();
 
     Deserializer genr = reader.section("GENR");
@@ -278,38 +238,12 @@ loadSnapshot(SimState &state, const std::string &path)
 
     if (reader.has("FALT")) {
         Deserializer falt = reader.section("FALT");
-        const FaultConfig &fc = config.faults;
-        if (falt.getBool() != fc.enable)
-            mismatch("fault layer enable flag differs");
-        checkU64("fault seed", falt.getU64(), fc.seed);
-        checkDouble("fault mtbf", falt.getDouble(), fc.mtbf);
-        checkDouble("fault mtbf reference temp", falt.getDouble(),
-                    fc.mtbfRefTemp);
-        checkDouble("fault mtbf doubling delta", falt.getDouble(),
-                    fc.mtbfDoublingDelta);
-        checkDouble("fault repair time", falt.getDouble(),
-                    fc.repairTime);
-        checkDouble("fault critical temp", falt.getDouble(),
-                    fc.criticalTemp);
-        checkDouble("fault critical release", falt.getDouble(),
-                    fc.criticalRelease);
-        checkU64("fault plan length", falt.getSize(),
-                 fc.plan.size());
-        for (std::size_t i = 0; i < fc.plan.size(); ++i) {
-            const FaultEvent &event = fc.plan.events()[i];
-            checkDouble("fault event time", falt.getDouble(),
-                        event.time);
-            checkU64("fault event type", falt.getU8(),
-                     static_cast<std::uint8_t>(event.type));
-            checkU64("fault event server", falt.getSize(),
-                     event.serverId);
-            checkDouble("fault event supply rise", falt.getDouble(),
-                        event.supplyRise);
-        }
+        ConfigEcho falt_echo(falt, kContext);
+        echoFaultLayer(falt_echo, config.faults);
         const bool engine_active = falt.getBool();
         if (engine_active != (state.faults != nullptr))
-            mismatch("fault engine active in one run but not the "
-                     "other");
+            configMismatch(kContext, "fault engine active in one run "
+                                     "but not the other");
         if (state.faults)
             state.faults->loadState(falt, state.cluster);
         loadSeries(falt, result.aliveServers, completed,
@@ -323,8 +257,9 @@ loadSnapshot(SimState &state, const std::string &path)
         // a run with faults disabled, and the fault telemetry for
         // the completed prefix is trivially known.
         if (config.faults.enabled())
-            fatal("snapshot predates the fault layer (format v1); "
-                  "it cannot resume a run with faults configured");
+            configMismatch(kContext, "format v1 predates the fault "
+                                     "layer; it cannot resume a run "
+                                     "with faults configured");
         for (std::size_t i = 0; i < completed; ++i)
             result.aliveServers.add(
                 static_cast<double>(config.numServers));

@@ -56,6 +56,13 @@ CheckpointOptions checkpointOptionsFromEnv();
 void attachCheckpointing(SimConfig &config,
                          const CheckpointOptions &options);
 
+class ConfigEcho;
+
+/** The CONF section's configuration echo (state/config_echo.h). */
+void echoSimConfig(ConfigEcho &echo, const SimConfig &config,
+                   std::size_t num_intervals,
+                   const std::string &scheduler);
+
 /**
  * Write a snapshot of the driver state after @p completed intervals.
  * Atomic: the previous snapshot at @p path survives an interrupted

@@ -37,19 +37,6 @@ writeBytes(std::ostream &out, const Serializer &bytes)
 
 } // namespace
 
-std::string
-pcmIntegratorByteProblem(std::uint8_t byte)
-{
-    if (byte == kClosedFormIntegratorByte)
-        return {};
-    if (byte == 1)
-        return "PCM integrator: snapshot was written with the "
-               "sub-stepped integrator, which has been removed; only "
-               "the closed-form integrator (byte 0) can resume";
-    return "PCM integrator: invalid byte " + std::to_string(byte) +
-           " (only 0, the closed-form integrator, is valid)";
-}
-
 Serializer &
 SnapshotWriter::section(const std::string &tag)
 {

@@ -50,22 +50,6 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 /** Oldest format version readers still accept. */
 inline constexpr std::uint32_t kSnapshotMinReadVersion = 1;
 
-/**
- * The PCM-integrator byte of the batch CONF and serving SCON
- * sections. Format v2 stores one byte naming the integrator that
- * produced the run; the closed form (0) is the only one the simulator
- * has, so writers always store it and readers refuse anything else.
- */
-inline constexpr std::uint8_t kClosedFormIntegratorByte = 0;
-
-/**
- * Why a snapshot's PCM-integrator byte cannot be resumed: empty for
- * kClosedFormIntegratorByte; 1 names the removed sub-stepped
- * integrator; any other value is reported as invalid. Loaders wrap a
- * non-empty result in their configuration-mismatch FatalError.
- */
-std::string pcmIntegratorByteProblem(std::uint8_t byte);
-
 /** Builds a snapshot file section by section. */
 class SnapshotWriter
 {

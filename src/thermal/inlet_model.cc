@@ -1,5 +1,8 @@
 #include "thermal/inlet_model.h"
 
+#include <cmath>
+#include <string>
+
 #include "util/logging.h"
 
 namespace vmt {
@@ -7,8 +10,9 @@ namespace vmt {
 std::vector<Kelvin>
 drawInletOffsets(std::size_t num_servers, Kelvin stddev, Rng &rng)
 {
-    if (stddev < 0.0)
-        fatal("drawInletOffsets requires stddev >= 0");
+    if (!(std::isfinite(stddev) && stddev >= 0.0))
+        fatal("inlet stddev must be a finite number of kelvin >= 0, "
+              "got " + std::to_string(stddev));
     std::vector<Kelvin> offsets(num_servers, 0.0);
     if (stddev == 0.0)
         return offsets;

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -70,6 +71,16 @@ Flags::getDouble(const std::string &name, double fallback) const
     if (end == it->second.c_str() || *end != '\0')
         fatal("Flags: --" + name + " expects a number, got '" +
               it->second + "'");
+    return value;
+}
+
+double
+Flags::getNonNegative(const std::string &name, double fallback) const
+{
+    const double value = getDouble(name, fallback);
+    if (!(std::isfinite(value) && value >= 0.0))
+        fatal("--" + name + " must be a finite number >= 0, got " +
+              getString(name));
     return value;
 }
 

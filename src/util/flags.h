@@ -49,6 +49,13 @@ class Flags
     double getDouble(const std::string &name, double fallback) const;
 
     /**
+     * Numeric value that must be finite and >= 0.
+     * @throws FatalError naming the flag otherwise.
+     */
+    double getNonNegative(const std::string &name,
+                          double fallback) const;
+
+    /**
      * Integer value, parsed as an integer (not via double, so values
      * above 2^53 are exact and scientific notation like `1e3` is
      * rejected).

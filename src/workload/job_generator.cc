@@ -99,23 +99,14 @@ JobGenerator::arrivalsFor(std::size_t interval,
 void
 JobGenerator::saveState(Serializer &out) const
 {
-    const RngState rng = rng_.state();
-    for (std::uint64_t word : rng.s)
-        out.putU64(word);
-    out.putBool(rng.hasSpare);
-    out.putDouble(rng.spare);
+    saveRng(out, rng_);
     out.putU64(nextId_);
 }
 
 void
 JobGenerator::loadState(Deserializer &in)
 {
-    RngState rng;
-    for (std::uint64_t &word : rng.s)
-        word = in.getU64();
-    rng.hasSpare = in.getBool();
-    rng.spare = in.getDouble();
-    rng_.setState(rng);
+    loadRng(in, rng_);
     nextId_ = in.getU64();
 }
 

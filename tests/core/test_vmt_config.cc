@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/vmt_config.h"
 #include "util/logging.h"
 
@@ -72,6 +74,16 @@ TEST(VmtConfig, ValidatesInputs)
     c.groupingValue = 22.0;
     c.physicalMeltTemp = 0.0;
     EXPECT_THROW(hotGroupSizeFor(c, 100), FatalError);
+}
+
+TEST(VmtConfig, NonFiniteGroupingValueIsFatal)
+{
+    VmtConfig c;
+    for (const double gv : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+        c.groupingValue = gv;
+        EXPECT_THROW(hotGroupSizeFor(c, 100), FatalError);
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "fault/fault_engine.h"
@@ -106,6 +107,19 @@ TEST(FaultEngine, RejectsNonPositiveRepairTimeWithStochasticFaults)
     config.mtbf = 100.0;
     config.repairTime = 0.0;
     EXPECT_THROW(FaultEngine(config, 4), FatalError);
+}
+
+TEST(FaultEngine, RejectsNonFiniteRepairTimeWithStochasticFaults)
+{
+    // A NaN repair time would schedule repairs that never come due.
+    FaultConfig config;
+    config.mtbf = 100.0;
+    for (const double repair :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        config.repairTime = repair;
+        EXPECT_THROW(FaultEngine(config, 4), FatalError);
+    }
 }
 
 TEST(FaultEngine, StochasticFailuresRepairAfterTurnaround)

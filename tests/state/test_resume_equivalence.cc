@@ -23,10 +23,13 @@
 
 #include "common.h"
 #include "core/vmt_wa.h"
+#include "fault/fault_plan.h"
 #include "sched/round_robin.h"
+#include "serve/brownout.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
 #include "sim/simulation.h"
+#include "state/config_echo.h"
 #include "state/serializer.h"
 #include "state/sim_snapshot.h"
 #include "thermal/thermal_kernel.h"
@@ -375,6 +378,152 @@ TEST(ResumeEquivalence, PeriodicCadenceSkipsFinalIntervalAndResumes)
 }
 
 // ---------------------------------------------------------------------
+// Committed v2 driver fixtures: each pins the byte layout of every
+// section a driver writes (CONF/GENR/CLUS/QUEU/SCHD/RSLT/FALT for the
+// batch driver, SCON/FEED/INGR/SHRD/DGRD for serving). The same run
+// must write the same bytes, and a resume from the committed file
+// must finish exactly like the uninterrupted run.
+// ---------------------------------------------------------------------
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::string
+fixturePath(const char *name)
+{
+    return std::string(VMT_TEST_DATA_DIR) + "/" + name;
+}
+
+/**
+ * The run behind `driver_v2_faults.snap`: studyConfig(20) for 0.2 h
+ * (12 intervals), VMT-WA at GV 22, an outage, a cooling derate and a
+ * repair from a plan, stochastic failures (repairs still pending at
+ * the checkpoint) and a critical threshold; checkpointed after
+ * interval 6, while the derate is active.
+ */
+SimConfig
+faultedFixtureRun()
+{
+    SimConfig config = shortRun(20, 0.2);
+    config.faults.plan = FaultPlan::parse("0.03 server-down 4\n"
+                                          "0.05 cooling-derate 6\n"
+                                          "0.15 server-up 4\n");
+    config.faults.mtbf = 0.5;
+    config.faults.criticalTemp = 40.0;
+    return config;
+}
+
+TEST(DriverFixture, FaultedBatchSnapshotBytesAndResume)
+{
+    const std::string fixture = fixturePath("driver_v2_faults.snap");
+    const std::string path = tempSnapshotPath("vmt_fixture_faults.snap");
+    SimConfig saving = faultedFixtureRun();
+    installSingleCheckpoint(saving, 6, path);
+    VmtWaScheduler writer = waScheduler();
+    const SimResult reference = runSimulation(saving, writer);
+    EXPECT_GT(reference.evacuatedJobs, 0u);
+    EXPECT_LT(reference.aliveServers.trough(), 20.0);
+
+    // On a difference the new file stays at `path` for inspection.
+    ASSERT_TRUE(slurp(path) == slurp(fixture))
+        << path << " differs from " << fixture;
+    std::remove(path.c_str());
+
+    SimConfig resuming = faultedFixtureRun();
+    installResume(resuming, fixture);
+    VmtWaScheduler resumed = waScheduler();
+    const SimResult after = runSimulation(resuming, resumed);
+    expectResultsIdentical(reference, after);
+    expectSeriesIdentical("aliveServers", reference.aliveServers,
+                          after.aliveServers);
+    EXPECT_EQ(reference.evacuatedJobs, after.evacuatedJobs);
+    EXPECT_EQ(reference.lostJobs, after.lostJobs);
+    EXPECT_EQ(reference.criticalServerIntervals,
+              after.criticalServerIntervals);
+}
+
+/**
+ * The run behind `serve_v2_degraded.snap`: 21 servers in three 7-server
+ * pods, an admission budget below the arrival rate, a 2-minute queue
+ * deadline, a brownout governor on air temperature and melt, and a
+ * plan that takes one server down in each of two pods and derates the
+ * cooling. `intervals` 6 writes the fixture (one checkpoint, at 6).
+ */
+serve::ServeConfig
+degradedFixtureRun(const std::string &ckpt, std::size_t intervals)
+{
+    serve::ServeConfig config;
+    config.numServers = 21;
+    config.podSize = 7;
+    config.maxIntervals = intervals;
+    config.admissionBudget = 40;
+    config.maxQueueAge = 120.0;
+    config.brownout.maxAirTemp = 20.0;
+    config.brownout.maxMelt = 0.5;
+    config.brownout.holdIntervals = 2;
+    config.faults.plan = FaultPlan::parse("0.06 server-down 3\n"
+                                          "0.06 server-down 10\n"
+                                          "0.07 cooling-derate 4\n");
+    config.checkpointEvery = 6;
+    config.checkpointPath = ckpt;
+    config.keepTelemetry = true;
+    return config;
+}
+
+serve::ServeResult
+runDegradedFixture(const serve::ServeConfig &config)
+{
+    serve::SyntheticFeedParams feed_params;
+    feed_params.users = 14400.0;
+    serve::SyntheticFeed feed(feed_params);
+    return serve::ShardedDriver(config).run(feed);
+}
+
+TEST(DriverFixture, DegradedServeCheckpointBytesAndResume)
+{
+    const std::string fixture = fixturePath("serve_v2_degraded.snap");
+    const std::string leg = tempSnapshotPath("vmt_fixture_serve_leg.ckpt");
+    const serve::ServeResult first =
+        runDegradedFixture(degradedFixtureRun(leg, 6));
+    EXPECT_GT(first.evacuatedJobs, 0u);
+    EXPECT_GT(first.expiredJobs, 0u);
+    EXPECT_GT(first.brownoutIntervals, 0u);
+    ASSERT_TRUE(slurp(leg) == slurp(fixture))
+        << leg << " differs from " << fixture;
+    std::remove(leg.c_str());
+
+    const std::string full_path =
+        tempSnapshotPath("vmt_fixture_serve_full.ckpt");
+    const serve::ServeResult full =
+        runDegradedFixture(degradedFixtureRun(full_path, 12));
+
+    const std::string resumed_path =
+        tempSnapshotPath("vmt_fixture_serve_resumed.ckpt");
+    serve::ServeConfig resuming = degradedFixtureRun(resumed_path, 12);
+    resuming.resumeFrom = fixture;
+    const serve::ServeResult resumed = runDegradedFixture(resuming);
+
+    EXPECT_EQ(resumed.resumedIntervals, 6u);
+    EXPECT_EQ(resumed.telemetry,
+              full.telemetry.substr(first.telemetry.size()));
+    EXPECT_EQ(resumed.arrivals, full.arrivals);
+    EXPECT_EQ(resumed.expiredJobs, full.expiredJobs);
+    EXPECT_EQ(resumed.evacuatedJobs, full.evacuatedJobs);
+    EXPECT_EQ(resumed.completedJobs, full.completedJobs);
+    EXPECT_EQ(resumed.peakCoolingLoad, full.peakCoolingLoad);
+    // The interval-12 checkpoints agree byte for byte too.
+    EXPECT_TRUE(slurp(resumed_path) == slurp(full_path));
+    for (const std::string &path : {full_path, resumed_path}) {
+        std::remove(path.c_str());
+        std::remove((path + ".prev").c_str());
+    }
+}
+
+// ---------------------------------------------------------------------
 // Mismatch rejection: resuming needs the exact configuration that
 // produced the checkpoint. Every divergence is fatal, never silent.
 // ---------------------------------------------------------------------
@@ -528,6 +677,152 @@ skipServeConfFields(Deserializer &conf)
 }
 
 /**
+ * Where one FaultEngine::saveState block keeps its supply rise and
+ * its first pending repair's due time (npos when none is pending),
+ * as offsets into the section payload.
+ */
+struct EngineStateOffsets
+{
+    std::size_t supplyRise = std::string::npos;
+    std::size_t firstRepairDue = std::string::npos;
+};
+
+EngineStateOffsets
+skipFaultEngineState(Deserializer &in, std::size_t length)
+{
+    EngineStateOffsets at;
+    in.getSize(); // plan cursor
+    at.supplyRise = length - in.remaining();
+    in.getDouble();
+    for (int k = 0; k < 4; ++k) // Rng words
+        in.getU64();
+    in.getBool(); // Rng spare flag and value
+    in.getDouble();
+    const std::size_t repairs = in.getSize();
+    if (repairs > 0)
+        at.firstRepairDue = length - in.remaining();
+    for (std::size_t i = 0; i < repairs; ++i) {
+        in.getDouble();
+        in.getSize();
+    }
+    const std::size_t servers = in.getSize();
+    for (std::size_t i = 0; i < servers; ++i)
+        in.getU8();
+    return at;
+}
+
+using EngineField = std::size_t EngineStateOffsets::*;
+
+void
+putDoubleAt(std::uint8_t *at, double value)
+{
+    std::memcpy(at, &value, sizeof value);
+}
+
+/**
+ * Copy the committed batch fixture, overwrite `field` of its fault
+ * engine state in FALT with `bad` and return the FatalError message
+ * of resuming from it. The echo in front of the state is walked by
+ * the echo itself.
+ */
+std::string
+corruptBatchFaultStateMessage(EngineField field, double bad)
+{
+    const std::string path = tempSnapshotPath("vmt_corrupt_falt.snap");
+    std::ofstream(path, std::ios::binary)
+        << slurp(fixturePath("driver_v2_faults.snap"));
+    const SimConfig config = faultedFixtureRun();
+    patchSection(path, "FALT", [&](std::uint8_t *payload,
+                                   std::size_t length) {
+        Deserializer in(payload, length);
+        ConfigEcho echo(in, "fixture");
+        echo.flag("fault enable", config.faults.enable);
+        echoFaultParams(echo, config.faults);
+        echoFaultPlan(echo, config.faults.plan);
+        in.getBool(); // engine active
+        const EngineStateOffsets at = skipFaultEngineState(in, length);
+        ASSERT_NE(at.*field, std::string::npos);
+        putDoubleAt(payload + at.*field, bad);
+    });
+    VmtWaScheduler sched = waScheduler();
+    std::string message =
+        fatalMessage([&] { tryResume(config, sched, path); });
+    std::remove(path.c_str());
+    return message;
+}
+
+/**
+ * The serving counterpart: a degraded-fixture run with stochastic
+ * failures too (so repairs are pending) writes its interval-6
+ * checkpoint; `field` of the first shard engine that has one is
+ * overwritten with `bad` in DGRD.
+ */
+std::string
+corruptServeFaultStateMessage(EngineField field, double bad)
+{
+    const std::string ckpt = tempSnapshotPath("vmt_corrupt_dgrd.ckpt");
+    serve::ServeConfig config = degradedFixtureRun(ckpt, 6);
+    config.faults.mtbf = 0.5;
+    runDegradedFixture(config);
+    patchSection(ckpt, "DGRD", [&](std::uint8_t *payload,
+                                   std::size_t length) {
+        Deserializer in(payload, length);
+        ConfigEcho echo(in, "checkpoint");
+        serve::echoDegradedConfig(echo, config);
+        for (int k = 0; k < 5; ++k) // evacuated .. brownout intervals
+            in.getU64();
+        serve::BrownoutGovernor(config.brownout).loadState(in);
+        while (in.remaining() > 0) { // per shard: applied rise, engine
+            in.getDouble();
+            const EngineStateOffsets at = skipFaultEngineState(in, length);
+            if (at.*field != std::string::npos) {
+                putDoubleAt(payload + at.*field, bad);
+                return;
+            }
+        }
+        FAIL() << "no shard engine holds the field";
+    });
+    config.resumeFrom = ckpt;
+    std::string message =
+        fatalMessage([&] { runDegradedFixture(config); });
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".prev").c_str());
+    return message;
+}
+
+/**
+ * A fault engine's supply rise goes straight into the inlets, so one
+ * that is NaN, infinite or negative is refused by name, in a batch
+ * FALT and a serving DGRD alike; so is a pending repair whose due
+ * time is not finite (a NaN one would never come due).
+ */
+TEST(ResumeMismatch, CorruptFaultEngineStateIsFatal)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {nan, inf, -1.0}) {
+        SCOPED_TRACE("supply rise " + std::to_string(bad));
+        const EngineField rise = &EngineStateOffsets::supplyRise;
+        EXPECT_NE(corruptBatchFaultStateMessage(rise, bad)
+                      .find("fault snapshot: supply rise"),
+                  std::string::npos);
+        EXPECT_NE(corruptServeFaultStateMessage(rise, bad)
+                      .find("fault snapshot: supply rise"),
+                  std::string::npos);
+    }
+    for (const double bad : {nan, inf, -inf}) {
+        SCOPED_TRACE("repair due " + std::to_string(bad));
+        const EngineField due = &EngineStateOffsets::firstRepairDue;
+        EXPECT_NE(corruptBatchFaultStateMessage(due, bad)
+                      .find("has a due time that is not finite"),
+                  std::string::npos);
+        EXPECT_NE(corruptServeFaultStateMessage(due, bad)
+                      .find("has a due time that is not finite"),
+                  std::string::npos);
+    }
+}
+
+/**
  * Snapshot format v2 keeps one PCM-integrator byte in the batch CONF
  * and serving SCON sections. Writers always store 0 (closed form);
  * 1 named the removed sub-stepped integrator and must be refused by
@@ -623,12 +918,6 @@ corruptServeResumeMessage(
     std::remove(ckpt.c_str());
     std::remove((ckpt + ".prev").c_str());
     return message;
-}
-
-void
-putDoubleAt(std::uint8_t *at, double value)
-{
-    std::memcpy(at, &value, sizeof value);
 }
 
 /**

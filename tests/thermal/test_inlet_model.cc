@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "thermal/inlet_model.h"
 #include "util/logging.h"
@@ -26,6 +27,15 @@ TEST(InletModel, NegativeSigmaIsFatal)
 {
     Rng rng(1);
     EXPECT_THROW(drawInletOffsets(10, -1.0, rng), FatalError);
+}
+
+TEST(InletModel, NonFiniteSigmaIsFatal)
+{
+    // A NaN sigma would draw NaN offsets into every inlet.
+    Rng rng(1);
+    for (const double sigma : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()})
+        EXPECT_THROW(drawInletOffsets(10, sigma, rng), FatalError);
 }
 
 TEST(InletModel, MomentsMatchRequestedSigma)

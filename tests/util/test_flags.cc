@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/flags.h"
 #include "util/logging.h"
 
@@ -70,6 +72,23 @@ TEST(Flags, NumericValidation)
 {
     EXPECT_THROW(parse({"--n=abc"}).getDouble("n", 0.0), FatalError);
     EXPECT_THROW(parse({"--n=1.5"}).getInt("n", 0), FatalError);
+}
+
+TEST(Flags, NonNegativeRefusesNegativeAndNonFiniteByName)
+{
+    EXPECT_EQ(parse({"--n=0"}).getNonNegative("n", 1.0), 0.0);
+    EXPECT_EQ(parse({}).getNonNegative("n", 2.5), 2.5);
+    for (const char *bad : {"--n=-1", "--n=nan", "--n=inf", "--n=-inf"}) {
+        SCOPED_TRACE(bad);
+        try {
+            parse({bad}).getNonNegative("n", 0.0);
+            ADD_FAILURE() << "no FatalError";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "--n must be a finite number >= 0, got "),
+                      std::string::npos);
+        }
+    }
 }
 
 TEST(Flags, UnreadFlagsDetected)

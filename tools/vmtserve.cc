@@ -110,6 +110,7 @@
 #include <memory>
 
 #include "core/policy_factory.h"
+#include "fault/fault_plan.h"
 #include "obs/observability.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
@@ -129,17 +130,6 @@ extern "C" void
 handleStopSignal(int)
 {
     g_stop_requested = 1;
-}
-
-obs::ObsOptions
-obsOptionsFromFlags(const Flags &flags)
-{
-    obs::ObsOptions options = obs::obsOptionsFromEnv();
-    if (flags.has("metrics-out"))
-        options.metricsOut = flags.getString("metrics-out");
-    if (flags.has("trace-events"))
-        options.traceEvents = flags.getString("trace-events");
-    return options;
 }
 
 ServeConfig
@@ -172,23 +162,9 @@ configFromFlags(const Flags &flags)
     config.admissionBudget = static_cast<std::size_t>(budget);
     config.admit =
         admitPolicyFromString(flags.getString("admit", "queue"));
-    config.maxQueueAge = flags.getDouble("max-queue-age", 0.0);
-    if (config.maxQueueAge < 0.0)
-        fatal("vmtserve: --max-queue-age must be >= 0 (0 = off)");
+    config.maxQueueAge = flags.getNonNegative("max-queue-age", 0.0);
 
-    if (flags.has("fault-plan"))
-        config.faults.plan =
-            FaultPlan::loadFile(flags.getString("fault-plan"));
-    config.faults.seed = static_cast<std::uint64_t>(
-        flags.getInt("fault-seed", 1));
-    config.faults.mtbf = flags.getDouble("fault-mtbf", 0.0);
-    if (config.faults.mtbf < 0.0)
-        fatal("vmtserve: --fault-mtbf must be >= 0 (0 = off)");
-    config.faults.repairTime = flags.getDouble("fault-repair", 4.0);
-    config.faults.criticalTemp =
-        flags.getDouble("critical-temp", 0.0);
-    if (config.faults.criticalTemp < 0.0)
-        fatal("vmtserve: --critical-temp must be >= 0 (0 = off)");
+    config.faults = faultConfigFromFlags(flags);
     const long long retries = flags.getInt("evac-retries", 3);
     if (retries < 0)
         fatal("vmtserve: --evac-retries must be >= 0");
@@ -217,7 +193,7 @@ configFromFlags(const Flags &flags)
         flags.getString("checkpoint-path", "vmtserve.ckpt");
     config.resumeFrom = flags.getString("resume-from", "");
     config.telemetryOut = flags.getString("telemetry-out", "");
-    if (obsOptionsFromFlags(flags).enabled())
+    if (obs::obsOptionsFromFlags(flags).enabled())
         config.obs = &obs::globalObservability();
     return config;
 }
@@ -337,7 +313,7 @@ main(int argc, char **argv)
             *feed, [] { return g_stop_requested != 0; });
         printSummary(result);
 
-        const obs::ObsOptions obs_opts = obsOptionsFromFlags(flags);
+        const obs::ObsOptions obs_opts = obs::obsOptionsFromFlags(flags);
         if (!obs_opts.metricsOut.empty()) {
             obs::globalObservability().writeMetrics(
                 obs_opts.metricsOut);

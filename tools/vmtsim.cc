@@ -77,6 +77,7 @@
 
 #include "core/policy_factory.h"
 #include "core/gv_tuner.h"
+#include "fault/fault_plan.h"
 #include "obs/observability.h"
 #include "sched/round_robin.h"
 #include "sim/result_io.h"
@@ -93,18 +94,6 @@ using namespace vmt;
 
 namespace {
 
-/** Export destinations: environment defaults, explicit flags win. */
-obs::ObsOptions
-obsOptionsFromFlags(const Flags &flags)
-{
-    obs::ObsOptions options = obs::obsOptionsFromEnv();
-    if (flags.has("metrics-out"))
-        options.metricsOut = flags.getString("metrics-out");
-    if (flags.has("trace-events"))
-        options.traceEvents = flags.getString("trace-events");
-    return options;
-}
-
 SimConfig
 configFromFlags(const Flags &flags)
 {
@@ -113,14 +102,9 @@ configFromFlags(const Flags &flags)
         flags.getInt("servers", 100));
     config.trace.duration = flags.getDouble("hours", 48.0);
     config.seed = static_cast<std::uint64_t>(flags.getInt("seed", 7));
-    config.inletStddev = flags.getDouble("inlet-stddev", 0.0);
+    config.inletStddev = flags.getNonNegative("inlet-stddev", 0.0);
     config.coolingCapacity =
-        flags.getDouble("cooling-capacity", 0.0);
-    if (!(std::isfinite(config.coolingCapacity) &&
-          config.coolingCapacity >= 0.0))
-        fatal("--cooling-capacity must be a finite number of "
-              "watts >= 0 (0 = unlimited), got " +
-              flags.getString("cooling-capacity", ""));
+        flags.getNonNegative("cooling-capacity", 0.0);
     if (flags.has("trace")) {
         const DiurnalTrace loaded =
             loadTraceCsv(flags.getString("trace"));
@@ -133,22 +117,10 @@ configFromFlags(const Flags &flags)
         for (std::size_t i = 0; i < loaded.size(); ++i)
             config.traceSamples.push_back(loaded.utilization(i));
     }
-    if (flags.has("fault-plan"))
-        config.faults.plan =
-            FaultPlan::loadFile(flags.getString("fault-plan"));
-    config.faults.seed = static_cast<std::uint64_t>(
-        flags.getInt("fault-seed", 1));
-    config.faults.mtbf = flags.getDouble("fault-mtbf", 0.0);
-    if (config.faults.mtbf < 0.0)
-        fatal("vmtsim: --fault-mtbf must be >= 0 (0 = off)");
-    config.faults.repairTime = flags.getDouble("fault-repair", 4.0);
-    config.faults.criticalTemp =
-        flags.getDouble("critical-temp", 0.0);
-    if (config.faults.criticalTemp < 0.0)
-        fatal("vmtsim: --critical-temp must be >= 0 (0 = off)");
+    config.faults = faultConfigFromFlags(flags);
     // Every simulation this process runs shares the global
     // observability bundle; main() exports it once at the end.
-    if (obsOptionsFromFlags(flags).enabled())
+    if (obs::obsOptionsFromFlags(flags).enabled())
         config.obs = &obs::globalObservability();
     return config;
 }
@@ -432,7 +404,7 @@ main(int argc, char **argv)
         else
             rc = cmdTrace(flags);
 
-        const obs::ObsOptions obs_opts = obsOptionsFromFlags(flags);
+        const obs::ObsOptions obs_opts = obs::obsOptionsFromFlags(flags);
         if (!obs_opts.metricsOut.empty()) {
             obs::globalObservability().writeMetrics(
                 obs_opts.metricsOut);
